@@ -49,10 +49,8 @@ fuzz:
 
 ## race-parallel: the clause-sharing portfolio's concurrency tests under the
 ## race detector, runnable on their own (CI gives them a dedicated step).
-## baseline rides along: its parallel SA restarts carry the same
-## WaitGroup spawn contract satlint's goroutine check enforces.
 race-parallel:
-	$(GO) test -race -count 1 -run Parallel ./internal/sat ./internal/opt ./internal/core ./internal/baseline
+	$(GO) test -race -count 1 -run Parallel ./internal/sat ./internal/opt ./internal/core
 
 ## bench: the solver micro-benchmarks (hooks disabled), for regression spotting.
 bench:
@@ -75,17 +73,17 @@ bench-smoke:
 		| $(GO) run ./internal/tools/bench2json > /dev/null
 
 ## encode-stats: bit-blast the Table-1 specs (compile only, no solving)
-## under the legacy encoder and both structural-hashing comparator
-## variants, and print the gates-emitted/folded/reused accounting table.
+## and print the encoder's gates-emitted/folded/reused accounting table.
 encode-stats:
 	$(GO) run ./cmd/benchtab -table encode
 
-## equisat: the encoder equivalence gate — every fuzz-seeded formula and
-## the Table-1/Table-2 specs encoded with hashing on/off and each
-## comparator variant must produce identical verdicts and costs, checked
-## under the race detector.
+## equisat: the encoder equivalence gate — every fuzz-seeded formula is
+## checked on every assignment under the encoder and the test-only oracles
+## (legacy blaster, ladder bound comparator, CNF carry), and the
+## Table-1/Table-2 specs must reach the same optimum under the encoder and
+## the legacy oracle, all under the race detector.
 equisat:
-	$(GO) test -race -count 1 -run 'Equisat|HashingReduces' ./internal/bv ./internal/opt
+	$(GO) test -race -count 1 -run 'Equisat|HashingReduces' ./internal/bv
 
 ## ops-smoke: end-to-end check of the ops HTTP listener — builds the real
 ## allocate binary, scrapes /healthz, /metrics and /progress against a

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	allocate [-objective trt|sumtrt|busutil|maxutil] [-medium id]
-//	         [-fresh] [-comparator adder|ladder] [-no-hash]
+//	         [-fresh]
 //	         [-workers n] [-proof] [-explain] [-v]
 //	         [-progress 1s] [-iters] [-trace spans.jsonl]
 //	         [-ops-addr :9090] [-timeout 30s] [-conflict-budget n]
@@ -48,7 +48,6 @@ import (
 	"io"
 	"os"
 
-	"satalloc/internal/bv"
 	"satalloc/internal/cli"
 	"satalloc/internal/core"
 	"satalloc/internal/obs"
@@ -66,8 +65,6 @@ func run() int {
 	objective := flag.String("objective", "trt", "cost function: trt, sumtrt, busutil, maxutil, usedecus")
 	medium := flag.Int("medium", -1, "medium ID the objective refers to (-1: first suitable)")
 	fresh := flag.Bool("fresh", false, "rebuild the solver for every SOLVE call (disable §7 clause reuse)")
-	comparator := flag.String("comparator", "adder", "constant-bound comparator circuits: adder (subtract-based, the paper's) or ladder (totalizer-style unary chains)")
-	noHash := flag.Bool("no-hash", false, "disable structural hashing in the bit-blaster (legacy encoding, for A/B comparison)")
 	verbose := flag.Bool("v", false, "log binary-search progress")
 	asJSON := flag.Bool("json", false, "emit the allocation as JSON")
 	asReport := flag.Bool("report", false, "emit a full deployment report with ASCII schedules")
@@ -104,11 +101,6 @@ func run() int {
 	}
 	defer stopProf()
 
-	cmp, err := bv.ParseComparator(*comparator)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	cfg := core.Config{
 		ObjectiveMedium:     *medium,
 		FreshSolverPerCall:  *fresh,
@@ -116,8 +108,6 @@ func run() int {
 		Workers:             *workers,
 		Proof:               *proof,
 		Explain:             *explain,
-		Comparator:          cmp,
-		DisableHashing:      *noHash,
 	}
 	switch *objective {
 	case "trt":

@@ -18,10 +18,9 @@
 // time-to-first-feasible.
 //
 // The report (one JSON document, default LOAD_<yyyymmdd>.json) carries
-// per-tenant latency and convergence percentiles (p50/p90/p95/p99/p999
-// estimated by the same histogram-quantile code the daemon's /progress
-// route uses, plus exact min/mean/max from the raw samples), throughput,
-// and shed/error rates.
+// per-tenant latency and convergence percentiles (exact p50/p90/p95/p99/
+// p999 by nearest rank, plus min/mean/max, all from the raw samples),
+// throughput, and shed/error rates.
 package main
 
 import (
@@ -179,10 +178,10 @@ type TenantReport struct {
 	Optimal       *LatencySummary `json:"timeToOptimalMs,omitempty"`
 }
 
-// LatencySummary reports a latency distribution in milliseconds:
-// bucket-interpolated percentiles (HistogramSnapshot.Quantile — the same
-// estimator behind the daemon's /progress percentiles) plus exact
-// min/mean/max from the raw client-side samples.
+// LatencySummary reports a latency distribution in milliseconds, exactly,
+// from the raw client-side samples: min/mean/max, and nearest-rank
+// percentiles, so min ≤ p50 ≤ … ≤ p999 ≤ max always holds (a bucket
+// estimate could exceed the largest sample).
 type LatencySummary struct {
 	Count  int64   `json:"count"`
 	MinMS  float64 `json:"min"`
@@ -301,24 +300,34 @@ func (c *collector) summarize(family, tenant string) *LatencySummary {
 	if len(raw) == 0 {
 		return nil
 	}
-	snap := c.histogram(family, tenant).Snapshot()
+	sort.Float64s(raw)
 	s := &LatencySummary{
 		Count:  int64(len(raw)),
-		P50MS:  snap.Quantile(0.50),
-		P90MS:  snap.Quantile(0.90),
-		P95MS:  snap.Quantile(0.95),
-		P99MS:  snap.Quantile(0.99),
-		P999MS: snap.Quantile(0.999),
+		MinMS:  raw[0],
+		MaxMS:  raw[len(raw)-1],
+		P50MS:  nearestRank(raw, 0.50),
+		P90MS:  nearestRank(raw, 0.90),
+		P95MS:  nearestRank(raw, 0.95),
+		P99MS:  nearestRank(raw, 0.99),
+		P999MS: nearestRank(raw, 0.999),
 	}
-	sort.Float64s(raw)
-	s.MinMS = raw[0]
-	s.MaxMS = raw[len(raw)-1]
 	var sum float64
 	for _, v := range raw {
 		sum += v
 	}
 	s.MeanMS = sum / float64(len(raw))
 	return s
+}
+
+// nearestRank returns the q-quantile of ascending samples by the
+// nearest-rank method: the smallest sample with at least a q share of the
+// samples at or below it.
+func nearestRank(sorted []float64, q float64) float64 {
+	i := int(math.Ceil(q*float64(len(sorted)))) - 1
+	if i < 0 {
+		i = 0
+	}
+	return sorted[i]
 }
 
 func (c *collector) finish(wall time.Duration) *Report {

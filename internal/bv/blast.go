@@ -4,15 +4,14 @@
 // bit vectors of logarithmic size, arithmetic triplets become adder and
 // multiplier circuits (the carry of the full adder is axiomatized with the
 // paper's pair of pseudo-Boolean constraints, eq. 19), and relational
-// triplets become comparator circuits.
+// triplets become comparator circuits (the sign bit of a subtraction).
 //
-// By default the blaster structurally hashes the circuit (hash.go): every
-// gate goes through a canonicalizing cache, constants fold before
-// emission, and defined variables alias their circuit's output wires, so
-// shared subterms reach the solver once (see DESIGN.md §14 and
-// EncodeStats). Options.DisableHashing restores the legacy
-// one-circuit-per-triplet encoding, and Options.Comparator selects the
-// circuit family for comparisons against constants.
+// The blaster structurally hashes the circuit (hash.go): every gate goes
+// through a canonicalizing cache, constants fold before emission, and
+// defined variables alias their circuit's output wires, so shared
+// subterms reach the solver once (see DESIGN.md §14 and EncodeStats).
+// The unhashed one-circuit-per-triplet encoding survives only as the
+// equisatisfiability oracle of the package tests.
 package bv
 
 import (
@@ -23,24 +22,8 @@ import (
 	"satalloc/internal/sat"
 )
 
-// Options tunes the propositional encoding.
+// Options configures a compilation; the encoding itself has no knobs.
 type Options struct {
-	// CarryAsCNF replaces the paper's pseudo-Boolean axiomatization of the
-	// full-adder carry (eq. 19) with a plain 6-clause CNF majority
-	// encoding. The default (false) follows the paper; the CNF mode exists
-	// as an ablation of §5.1's compactness claim (see
-	// BenchmarkCarryEncodingAblation).
-	CarryAsCNF bool
-	// Comparator selects the circuit family for comparisons against
-	// constants (range assertions, constant-sided relational triplets and
-	// the optimizer's cost probes). It only takes effect on the hashed
-	// path; the legacy path always uses the subtract-based comparator.
-	Comparator Comparator
-	// DisableHashing reverts to the legacy one-circuit-per-triplet
-	// encoding: no gate cache, no constant folding, and defined variables
-	// equated to fresh vectors instead of aliasing circuit outputs. It
-	// exists for the equisatisfiability ablation and A/B benchmarks.
-	DisableHashing bool
 	// Trace, when set, is the parent span under which Compile records its
 	// Triplet and BitBlast phases. Nil disables tracing.
 	Trace *obs.Span
@@ -49,9 +32,8 @@ type Options struct {
 // Blaster holds the correspondence between triplet-level variables and
 // solver literals and knows how to decode models.
 type Blaster struct {
-	S    *sat.Solver
-	Tr   *ir.Triplets
-	opts Options
+	S  *sat.Solver
+	Tr *ir.Triplets
 
 	vecs  [][]sat.Lit // per triplet integer variable, little-endian signed
 	bools []sat.Lit   // per triplet Boolean variable
@@ -59,7 +41,7 @@ type Blaster struct {
 
 	cmpConstMemo map[string]sat.Lit
 
-	// Structural-hashing state (nil cache means the legacy path).
+	// Structural-hashing state.
 	cache map[gateKey]sat.Lit
 	stats EncodeStats
 }
@@ -78,86 +60,30 @@ func widthFor(lo, hi int64) int {
 	panic(fmt.Sprintf("bv: range [%d,%d] too wide", lo, hi))
 }
 
-// Blast encodes the triplet system into the solver with default options.
-// The solver may already contain other constraints; fresh variables are
-// allocated as needed.
+// Blast encodes the triplet system into the solver. The solver may
+// already contain other constraints; fresh variables are allocated as
+// needed.
 func Blast(s *sat.Solver, tr *ir.Triplets) (*Blaster, error) {
-	return BlastWith(s, tr, Options{})
-}
-
-// BlastWith is Blast with explicit encoding options.
-func BlastWith(s *sat.Solver, tr *ir.Triplets, opts Options) (*Blaster, error) {
-	b := &Blaster{S: s, Tr: tr, opts: opts, cmpConstMemo: map[string]sat.Lit{}}
-	if tr.Unsat {
-		if err := s.AddClause(); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	b.lTrue = sat.PosLit(s.NewVar())
-	if err := s.AddClause(b.lTrue); err != nil {
+	b, err := newBlaster(s, tr)
+	if err != nil {
 		return nil, err
 	}
-	if opts.DisableHashing {
-		return b, b.blastLegacy()
+	if !tr.Unsat {
+		err = b.blastHashed()
 	}
-	b.cache = make(map[gateKey]sat.Lit)
-	return b, b.blastHashed()
+	return b, err
 }
 
-// blastLegacy is the pre-hashing encoding pass: every triplet variable
-// gets a fresh solver vector/literal up front and every definition is a
-// fresh circuit equated to it.
-func (b *Blaster) blastLegacy() error {
-	s, tr := b.S, b.Tr
-	b.bools = make([]sat.Lit, len(tr.BoolNames))
-	for i := range tr.BoolNames {
-		b.bools[i] = sat.PosLit(s.NewVar())
+// newBlaster allocates a blaster and its constant-true literal; a triplet
+// system folded to false becomes the empty clause instead.
+func newBlaster(s *sat.Solver, tr *ir.Triplets) (*Blaster, error) {
+	b := &Blaster{S: s, Tr: tr, cmpConstMemo: map[string]sat.Lit{},
+		cache: make(map[gateKey]sat.Lit)}
+	if tr.Unsat {
+		return b, s.AddClause()
 	}
-	b.vecs = make([][]sat.Lit, len(tr.Ints))
-	for i, info := range tr.Ints {
-		w := widthFor(info.Lo, info.Hi)
-		vec := make([]sat.Lit, w)
-		for j := range vec {
-			vec[j] = sat.PosLit(s.NewVar())
-		}
-		b.vecs[i] = vec
-		// Range constraints lo ≤ v ≤ hi, skipped when the width is exact.
-		min := int64(-1) << (w - 1)
-		max := -min - 1
-		if info.Lo > min {
-			if err := b.assertCmpConst(vec, info.Lo, true); err != nil {
-				return err
-			}
-		}
-		if info.Hi < max {
-			if err := b.assertCmpConst(vec, info.Hi, false); err != nil {
-				return err
-			}
-		}
-	}
-
-	for _, d := range tr.IntDefs {
-		if err := b.blastIntDef(d); err != nil {
-			return err
-		}
-	}
-	for _, d := range tr.CmpDefs {
-		if err := b.blastCmpDef(d); err != nil {
-			return err
-		}
-	}
-	for _, g := range tr.Gates {
-		if err := b.blastGate(g); err != nil {
-			return err
-		}
-	}
-	for _, r := range tr.Roots {
-		if err := s.AddClause(b.blit(r)); err != nil {
-			return err
-		}
-	}
-	return nil
+	b.lTrue = sat.PosLit(s.NewVar())
+	return b, s.AddClause(b.lTrue)
 }
 
 func (b *Blaster) blit(l ir.BLit) sat.Lit {
@@ -201,44 +127,13 @@ func signExtend(v []sat.Lit, w int) []sat.Lit {
 	return out
 }
 
-// fullAdder constrains s and cout to be the sum and carry of x+y+cin,
-// using the paper's PB axiomatization for the carry (eq. 19) and a CNF
-// parity axiomatization for the sum bit.
-func (b *Blaster) fullAdder(s, cout, x, y, cin sat.Lit) error {
-	if err := b.majGate(cout, x, y, cin); err != nil {
+// majGate constrains cout ⇔ maj(x, y, cin) with the paper's PB pair
+// (eq. 19): 2cout + ¬x + ¬y + ¬cin ≥ 2  ∧  2¬cout + x + y + cin ≥ 2.
+func (b *Blaster) majGate(cout, x, y, cin sat.Lit) error {
+	if err := b.S.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout}, {Coef: 1, Lit: x.Not()}, {Coef: 1, Lit: y.Not()}, {Coef: 1, Lit: cin.Not()}}, 2); err != nil {
 		return err
 	}
-	return b.xor3Gate(s, x, y, cin)
-}
-
-// majGate constrains cout ⇔ maj(x, y, cin): the paper's PB pair (eq. 19)
-// by default, or the 6-clause CNF majority gate in the ablation mode.
-func (b *Blaster) majGate(cout, x, y, cin sat.Lit) error {
-	if b.opts.CarryAsCNF {
-		// Plain CNF majority gate (ablation mode): 6 ternary clauses.
-		for _, cl := range [][3]sat.Lit{
-			{x.Not(), y.Not(), cout},
-			{x, y, cout.Not()},
-			{x.Not(), cin.Not(), cout},
-			{x, cin, cout.Not()},
-			{y.Not(), cin.Not(), cout},
-			{y, cin, cout.Not()},
-		} {
-			if err := b.S.AddClause(cl[0], cl[1], cl[2]); err != nil {
-				return err
-			}
-		}
-	} else {
-		// The paper's PB pair (eq. 19):
-		// 2cout + ¬x + ¬y + ¬cin ≥ 2  ∧  2¬cout + x + y + cin ≥ 2.
-		if err := b.S.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout}, {Coef: 1, Lit: x.Not()}, {Coef: 1, Lit: y.Not()}, {Coef: 1, Lit: cin.Not()}}, 2); err != nil {
-			return err
-		}
-		if err := b.S.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout.Not()}, {Coef: 1, Lit: x}, {Coef: 1, Lit: y}, {Coef: 1, Lit: cin}}, 2); err != nil {
-			return err
-		}
-	}
-	return nil
+	return b.S.AddPB([]sat.PBTerm{{Coef: 2, Lit: cout.Not()}, {Coef: 1, Lit: x}, {Coef: 1, Lit: y}, {Coef: 1, Lit: cin}}, 2)
 }
 
 // xor3Gate constrains s ⇔ x ⊕ y ⊕ cin, as 8 clauses: for every valuation
@@ -267,23 +162,6 @@ func (b *Blaster) xor3Gate(s, x, y, cin sat.Lit) error {
 	return nil
 }
 
-// addVec returns a fresh vector constrained to x + y + cin (mod 2^w),
-// w = len(x) = len(y).
-func (b *Blaster) addVec(x, y []sat.Lit, cin sat.Lit) ([]sat.Lit, error) {
-	w := len(x)
-	out := make([]sat.Lit, w)
-	carry := cin
-	for i := 0; i < w; i++ {
-		out[i] = sat.PosLit(b.S.NewVar())
-		cout := sat.PosLit(b.S.NewVar()) // final carry is left dangling
-		if err := b.fullAdder(out[i], cout, x[i], y[i], carry); err != nil {
-			return nil, err
-		}
-		carry = cout
-	}
-	return out, nil
-}
-
 func negVec(v []sat.Lit) []sat.Lit {
 	out := make([]sat.Lit, len(v))
 	for i, l := range v {
@@ -292,183 +170,11 @@ func negVec(v []sat.Lit) []sat.Lit {
 	return out
 }
 
-// subVec returns x - y (mod 2^w) via x + ¬y + 1.
-func (b *Blaster) subVec(x, y []sat.Lit) ([]sat.Lit, error) {
-	return b.addVec(x, negVec(y), b.lTrue)
-}
-
-// andGate returns a fresh literal g with g ⇔ x ∧ y.
-func (b *Blaster) andGate(x, y sat.Lit) (sat.Lit, error) {
-	g := sat.PosLit(b.S.NewVar())
-	if err := b.S.AddClause(g.Not(), x); err != nil {
-		return g, err
-	}
-	if err := b.S.AddClause(g.Not(), y); err != nil {
-		return g, err
-	}
-	return g, b.S.AddClause(g, x.Not(), y.Not())
-}
-
-// mulVec returns a fresh vector constrained to x*y (mod 2^w) using the
-// shift-add scheme over partial products.
-func (b *Blaster) mulVec(x, y []sat.Lit) ([]sat.Lit, error) {
-	w := len(x)
-	// acc starts as the first partial product: x masked by y[0].
-	acc := make([]sat.Lit, w)
-	for i := 0; i < w; i++ {
-		g, err := b.andGate(x[i], y[0])
-		if err != nil {
-			return nil, err
-		}
-		acc[i] = g
-	}
-	for j := 1; j < w; j++ {
-		// Partial product row j: (x << j) masked by y[j]; only bits j..w-1
-		// are nonzero after the shift.
-		row := make([]sat.Lit, w)
-		for i := 0; i < j; i++ {
-			row[i] = b.lTrue.Not()
-		}
-		for i := j; i < w; i++ {
-			g, err := b.andGate(x[i-j], y[j])
-			if err != nil {
-				return nil, err
-			}
-			row[i] = g
-		}
-		var err error
-		acc, err = b.addVec(acc, row, b.lTrue.Not())
-		if err != nil {
-			return nil, err
-		}
-	}
-	return acc, nil
-}
-
-// equateVec asserts x = y bitwise (same width).
-func (b *Blaster) equateVec(x, y []sat.Lit) error {
-	for i := range x {
-		if err := b.S.AddClause(x[i].Not(), y[i]); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(x[i], y[i].Not()); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// mulConstVec multiplies a variable vector by a constant using shift-adds
-// over the constant's set bits only — no AND-gate partial-product matrix.
-// Negative constants multiply by |c| and then negate (0 − v).
-func (b *Blaster) mulConstVec(x []sat.Lit, c int64, w int) ([]sat.Lit, error) {
-	neg := false
-	if c < 0 {
-		neg = true
-		c = -c
-	}
-	zero := b.constVec(0, w)
-	acc := zero
-	for j := 0; j < w && c>>j != 0; j++ {
-		if c&(1<<j) == 0 {
-			continue
-		}
-		// row = x << j, truncated to w bits.
-		row := make([]sat.Lit, w)
-		for i := 0; i < j; i++ {
-			row[i] = b.lTrue.Not()
-		}
-		for i := j; i < w; i++ {
-			row[i] = x[i-j]
-		}
-		var err error
-		acc, err = b.addVec(acc, row, b.lTrue.Not())
-		if err != nil {
-			return nil, err
-		}
-	}
-	if neg {
-		return b.subVec(zero, acc)
-	}
-	return acc, nil
-}
-
-func (b *Blaster) blastIntDef(d ir.IntDef) error {
-	res := b.vecs[d.Res]
-	w := len(res)
-	x := b.atomVec(d.A, w)
-	y := b.atomVec(d.B, w)
-	var out []sat.Lit
-	var err error
-	switch d.Op {
-	case ir.OpAdd:
-		out, err = b.addVec(x, y, b.lTrue.Not())
-	case ir.OpSub:
-		out, err = b.subVec(x, y)
-	case ir.OpMul:
-		switch {
-		case d.A.IsConst:
-			out, err = b.mulConstVec(y, d.A.Const, w)
-		case d.B.IsConst:
-			out, err = b.mulConstVec(x, d.B.Const, w)
-		default:
-			out, err = b.mulVec(x, y)
-		}
-	default:
-		return fmt.Errorf("bv: unknown arithmetic operator %v", d.Op)
-	}
-	if err != nil {
-		return err
-	}
-	return b.equateVec(res, out)
-}
-
-// signBitOfDiff returns a literal equal to the sign bit of (x - y) computed
-// at width w+1 so the subtraction cannot wrap.
-func (b *Blaster) signBitOfDiff(xa, ya ir.Atom) (sat.Lit, error) {
-	wx := b.atomWidth(xa)
-	wy := b.atomWidth(ya)
-	w := wx
-	if wy > w {
-		w = wy
-	}
-	w++
-	x := b.atomVec(xa, w)
-	y := b.atomVec(ya, w)
-	d, err := b.subVec(x, y)
-	if err != nil {
-		return sat.LitUndef, err
-	}
-	return d[w-1], nil
-}
-
 func (b *Blaster) atomWidth(a ir.Atom) int {
 	if a.IsConst {
 		return widthFor(a.Const, a.Const)
 	}
 	return len(b.vecs[a.Var])
-}
-
-// eqLit returns a fresh literal ⇔ (x = y) over equal-width vectors.
-func (b *Blaster) eqLit(x, y []sat.Lit) (sat.Lit, error) {
-	p := sat.PosLit(b.S.NewVar())
-	// p → (x_i ⇔ y_i) for all i; ¬p → some difference: (p ∨ diff_1 ∨ …).
-	diffClause := []sat.Lit{p}
-	for i := range x {
-		if err := b.S.AddClause(p.Not(), x[i].Not(), y[i]); err != nil {
-			return p, err
-		}
-		if err := b.S.AddClause(p.Not(), x[i], y[i].Not()); err != nil {
-			return p, err
-		}
-		// diff_i ⇔ x_i ⊕ y_i.
-		d := sat.PosLit(b.S.NewVar())
-		if err := b.xorGate(d, x[i], y[i]); err != nil {
-			return p, err
-		}
-		diffClause = append(diffClause, d)
-	}
-	return p, b.S.AddClause(diffClause...)
 }
 
 func (b *Blaster) xorGate(g, x, y sat.Lit) error {
@@ -484,119 +190,6 @@ func (b *Blaster) xorGate(g, x, y sat.Lit) error {
 	return b.S.AddClause(g, x, y.Not())
 }
 
-// iffLits asserts p ⇔ q.
-func (b *Blaster) iffLits(p, q sat.Lit) error {
-	if err := b.S.AddClause(p.Not(), q); err != nil {
-		return err
-	}
-	return b.S.AddClause(p, q.Not())
-}
-
-func (b *Blaster) blastCmpDef(d ir.CmpDef) error {
-	p := b.bools[d.P]
-	switch d.Op {
-	case ir.OpLE:
-		// a ≤ b ⇔ ¬(b < a) ⇔ ¬sign(b - a).
-		sgn, err := b.signBitOfDiff(d.B, d.A)
-		if err != nil {
-			return err
-		}
-		return b.iffLits(p, sgn.Not())
-	case ir.OpLT:
-		sgn, err := b.signBitOfDiff(d.A, d.B)
-		if err != nil {
-			return err
-		}
-		return b.iffLits(p, sgn)
-	case ir.OpEQ, ir.OpNE:
-		wx, wy := b.atomWidth(d.A), b.atomWidth(d.B)
-		w := wx
-		if wy > w {
-			w = wy
-		}
-		e, err := b.eqLit(b.atomVec(d.A, w), b.atomVec(d.B, w))
-		if err != nil {
-			return err
-		}
-		if d.Op == ir.OpEQ {
-			return b.iffLits(p, e)
-		}
-		return b.iffLits(p, e.Not())
-	}
-	return fmt.Errorf("bv: unknown relational operator %v", d.Op)
-}
-
-func (b *Blaster) blastGate(g ir.Gate) error {
-	p := b.bools[g.P]
-	q := b.blit(g.Q)
-	r := b.blit(g.R)
-	switch g.Op {
-	case ir.OpAnd:
-		if err := b.S.AddClause(p.Not(), q); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p.Not(), r); err != nil {
-			return err
-		}
-		return b.S.AddClause(p, q.Not(), r.Not())
-	case ir.OpOr:
-		if err := b.S.AddClause(p, q.Not()); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p, r.Not()); err != nil {
-			return err
-		}
-		return b.S.AddClause(p.Not(), q, r)
-	case ir.OpImply:
-		if err := b.S.AddClause(p.Not(), q.Not(), r); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p, q); err != nil {
-			return err
-		}
-		return b.S.AddClause(p, r.Not())
-	case ir.OpIff:
-		if err := b.S.AddClause(p.Not(), q.Not(), r); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p.Not(), q, r.Not()); err != nil {
-			return err
-		}
-		if err := b.S.AddClause(p, q, r); err != nil {
-			return err
-		}
-		return b.S.AddClause(p, q.Not(), r.Not())
-	case ir.OpXor:
-		return b.xorGate(p, q, r)
-	}
-	return fmt.Errorf("bv: unknown gate %v", g.Op)
-}
-
-// assertCmpConst asserts v ≥ k (ge=true) or v ≤ k (ge=false) against a
-// constant, using a subtraction-free magnitude comparator.
-func (b *Blaster) assertCmpConst(vec []sat.Lit, k int64, ge bool) error {
-	if b.hashed() {
-		return b.assertCmpConstH(vec, k, ge)
-	}
-	// Build the comparator literal and assert it. The comparator against a
-	// constant is a simple suffix scan over bits; to keep the code small we
-	// reuse the generic subtract-based comparator here.
-	w := len(vec) + 1
-	x := signExtend(vec, w)
-	y := b.constVec(k, w)
-	var d []sat.Lit
-	var err error
-	if ge {
-		d, err = b.subVec(x, y) // v - k ≥ 0 ⇔ ¬sign
-	} else {
-		d, err = b.subVec(y, x) // k - v ≥ 0 ⇔ ¬sign
-	}
-	if err != nil {
-		return err
-	}
-	return b.S.AddClause(d[w-1].Not())
-}
-
 // CmpConstLit returns (building on first use) a literal that is true iff
 // the triplet integer variable id satisfies (≤ k) when le, or (≥ k)
 // otherwise. The optimizer passes these literals as assumptions to confine
@@ -606,29 +199,10 @@ func (b *Blaster) CmpConstLit(id int, k int64, le bool) (sat.Lit, error) {
 	if l, ok := b.cmpConstMemo[key]; ok {
 		return l, nil
 	}
-	if b.hashed() {
-		l, err := b.cmpConstLitH(id, k, le)
-		if err != nil {
-			return sat.LitUndef, err
-		}
-		b.cmpConstMemo[key] = l
-		return l, nil
-	}
-	vec := b.vecs[id]
-	w := len(vec) + 1
-	x := signExtend(vec, w)
-	y := b.constVec(k, w)
-	var d []sat.Lit
-	var err error
-	if le {
-		d, err = b.subVec(y, x) // k - v ≥ 0
-	} else {
-		d, err = b.subVec(x, y) // v - k ≥ 0
-	}
+	l, err := b.cmpConstLit(b.vecs[id], k, le)
 	if err != nil {
 		return sat.LitUndef, err
 	}
-	l := d[w-1].Not()
 	b.cmpConstMemo[key] = l
 	return l, nil
 }

@@ -5,23 +5,59 @@ import (
 	"math/rand"
 	"testing"
 
+	"satalloc/internal/encode"
 	"satalloc/internal/ir"
+	"satalloc/internal/model"
 	"satalloc/internal/sat"
+	"satalloc/internal/workload"
 )
 
-// encodingModes are the encoder configurations the equisatisfiability
-// harness cross-checks: the legacy path and the hashed path under both
-// comparator families, each with the PB and the CNF carry axiomatization.
+// encoding is what the harness needs from a compiled formula; both the
+// production System and the legacy oracle's legacySystem provide it.
+type encoding interface {
+	Solve(assumptions ...sat.Lit) sat.Status
+	Int(v *ir.IntVar) int64
+	UpperBoundLit(v *ir.IntVar, k int64) (sat.Lit, error)
+	LowerBoundLit(v *ir.IntVar, k int64) (sat.Lit, error)
+	BoolSolverVar(v *ir.BoolVar) sat.Var
+}
+
+// encodingModes are the encoders the equisatisfiability harness checks.
+// Only hash-adder is production code (structural hashing, adder
+// comparator, PB carry); the others are test-only oracles: the unhashed
+// legacy blaster of legacy_test.go, the ladder comparator for the bound
+// literals that pin each assignment, and the CNF carry of variants_test.go.
 var encodingModes = []struct {
-	name string
-	opts Options
+	name    string
+	compile func(*ir.Formula) (encoding, error)
 }{
-	{"legacy", Options{DisableHashing: true}},
-	{"legacy-cnf", Options{DisableHashing: true, CarryAsCNF: true}},
-	{"hash-adder", Options{}},
-	{"hash-adder-cnf", Options{CarryAsCNF: true}},
-	{"hash-ladder", Options{Comparator: ComparatorLadder}},
-	{"hash-ladder-cnf", Options{Comparator: ComparatorLadder, CarryAsCNF: true}},
+	{"legacy", func(f *ir.Formula) (encoding, error) { return compileLegacy(f) }},
+	{"legacy-cnf", func(f *ir.Formula) (encoding, error) {
+		sys, err := compileLegacy(f)
+		if err != nil {
+			return nil, err
+		}
+		return withCNFCarry(f, sys, sys.System)
+	}},
+	{"hash-adder", func(f *ir.Formula) (encoding, error) { return Compile(f) }},
+	{"hash-adder-cnf", func(f *ir.Formula) (encoding, error) {
+		sys, err := Compile(f)
+		if err != nil {
+			return nil, err
+		}
+		return withCNFCarry(f, sys, sys)
+	}},
+	{"hash-ladder", func(f *ir.Formula) (encoding, error) {
+		sys, err := Compile(f)
+		return ladderSystem{sys}, err
+	}},
+	{"hash-ladder-cnf", func(f *ir.Formula) (encoding, error) {
+		sys, err := Compile(f)
+		if err != nil {
+			return nil, err
+		}
+		return withCNFCarry(f, ladderSystem{sys}, sys)
+	}},
 }
 
 // checkEncodingExact verifies that an encoding of f agrees with the ground
@@ -29,52 +65,16 @@ var encodingModes = []struct {
 // solver under assumptions pinning each variable must answer Sat exactly
 // when ir.Formula.Satisfied does. This is stronger than equisatisfiability
 // — it proves the encoding is a faithful definition of f over the source
-// vocabulary, for the hashed and legacy paths alike.
-func checkEncodingExact(t *testing.T, f *ir.Formula, opts Options) {
+// vocabulary. An encoding that is unsatisfiable outright (for instance a
+// formula the tripletizer folded to false, which has no bit vectors to
+// pin) must instead find no satisfying assignment in the ground truth.
+func checkEncodingExact(t *testing.T, f *ir.Formula, compile func(*ir.Formula) (encoding, error)) {
 	t.Helper()
-	sys, err := CompileWith(f, opts)
+	enc, err := compile(f)
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
-	if sys.Tr.Unsat {
-		// The tripletizer folded the formula to false; the ground truth
-		// must agree on every assignment, which the empty-clause encoding
-		// trivially matches — verify there is no satisfying assignment.
-		if st := sys.Solve(); st != sat.Unsat {
-			t.Fatalf("folded-unsat formula solved as %v", st)
-		}
-		asn := ir.NewAssignment()
-		var walk func(iv, bvi int) bool
-		walk = func(iv, bvi int) bool {
-			if iv < len(f.IntVars) {
-				v := f.IntVars[iv]
-				for val := v.Lo; val <= v.Hi; val++ {
-					asn.Ints[v] = val
-					if !walk(iv+1, bvi) {
-						return false
-					}
-				}
-				return true
-			}
-			if bvi < len(f.BoolVars) {
-				v := f.BoolVars[bvi]
-				for _, val := range []bool{false, true} {
-					asn.Bools[v] = val
-					if !walk(iv, bvi+1) {
-						return false
-					}
-				}
-				return true
-			}
-			if f.Satisfied(asn) {
-				t.Errorf("encoder folded to unsat but %v satisfies the formula", renderAsn(f, asn))
-				return false
-			}
-			return true
-		}
-		walk(0, 0)
-		return
-	}
+	unsat := enc.Solve() == sat.Unsat
 
 	// Walk the cross product of all variable domains.
 	asn := ir.NewAssignment()
@@ -85,16 +85,18 @@ func checkEncodingExact(t *testing.T, f *ir.Formula, opts Options) {
 			v := f.IntVars[iv]
 			for val := v.Lo; val <= v.Hi; val++ {
 				asn.Ints[v] = val
-				le, err := sys.UpperBoundLit(v, val)
-				if err != nil {
-					t.Fatalf("upper bound lit: %v", err)
-				}
-				ge, err := sys.LowerBoundLit(v, val)
-				if err != nil {
-					t.Fatalf("lower bound lit: %v", err)
-				}
 				save := len(assumptions)
-				assumptions = append(assumptions, le, ge)
+				if !unsat {
+					le, err := enc.UpperBoundLit(v, val)
+					if err != nil {
+						t.Fatalf("upper bound lit: %v", err)
+					}
+					ge, err := enc.LowerBoundLit(v, val)
+					if err != nil {
+						t.Fatalf("lower bound lit: %v", err)
+					}
+					assumptions = append(assumptions, le, ge)
+				}
 				if !walk(iv+1, bvi) {
 					return false
 				}
@@ -107,7 +109,9 @@ func checkEncodingExact(t *testing.T, f *ir.Formula, opts Options) {
 			for _, val := range []bool{false, true} {
 				asn.Bools[v] = val
 				save := len(assumptions)
-				assumptions = append(assumptions, sat.MkLit(sys.BoolSolverVar(v), !val))
+				if !unsat {
+					assumptions = append(assumptions, sat.MkLit(enc.BoolSolverVar(v), !val))
+				}
 				if !walk(iv, bvi+1) {
 					return false
 				}
@@ -116,7 +120,7 @@ func checkEncodingExact(t *testing.T, f *ir.Formula, opts Options) {
 			return true
 		}
 		want := f.Satisfied(asn)
-		got := sys.Solve(assumptions...) == sat.Sat
+		got := !unsat && enc.Solve(assumptions...) == sat.Sat
 		if got != want {
 			t.Errorf("assignment %v: encoded=%v ground-truth=%v", renderAsn(f, asn), got, want)
 			return false
@@ -196,7 +200,7 @@ func TestEquisatTinyCorpus(t *testing.T) {
 	for name, f := range tinyFormulas() {
 		for _, m := range encodingModes {
 			t.Run(name+"/"+m.name, func(t *testing.T) {
-				checkEncodingExact(t, f, m.opts)
+				checkEncodingExact(t, f, m.compile)
 			})
 		}
 	}
@@ -286,16 +290,16 @@ func TestEquisatFuzzSeeds(t *testing.T) {
 		}
 		for _, m := range encodingModes {
 			t.Run(fmt.Sprintf("seed%d/%s", seed, m.name), func(t *testing.T) {
-				checkEncodingExact(t, f, m.opts)
+				checkEncodingExact(t, f, m.compile)
 			})
 		}
 	}
 }
 
 // TestHashingReducesEncoding pins the headline property of the hashed
-// path: on a formula with heavy structural sharing it must emit strictly
-// fewer solver variables and clause literals than the legacy path, and the
-// gate cache must report genuine reuse.
+// encoder: on a formula with heavy structural sharing it must emit
+// strictly fewer solver variables and clause literals than the legacy
+// oracle, and the gate cache must report genuine reuse.
 func TestHashingReducesEncoding(t *testing.T) {
 	f := ir.NewFormula()
 	var terms []ir.IntExpr
@@ -306,19 +310,19 @@ func TestHashingReducesEncoding(t *testing.T) {
 	for i, v := range terms {
 		f.Require(ir.Le(ir.Add(sum, v), ir.Const(40+int64(i))))
 	}
-	legacy, err := CompileWith(f, Options{DisableHashing: true})
+	legacy, err := compileLegacy(f)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hashed, err := CompileWith(f, Options{})
+	hashed, err := Compile(f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if hv, lv := hashed.S.NumVariables(), legacy.S.NumVariables(); hv >= lv {
-		t.Errorf("hashed path emitted %d vars, legacy %d — no reduction", hv, lv)
+		t.Errorf("hashed encoder emitted %d vars, legacy oracle %d — no reduction", hv, lv)
 	}
 	if hl, ll := hashed.S.Stats.NumLiterals, legacy.S.Stats.NumLiterals; hl >= ll {
-		t.Errorf("hashed path emitted %d literals, legacy %d — no reduction", hl, ll)
+		t.Errorf("hashed encoder emitted %d literals, legacy oracle %d — no reduction", hl, ll)
 	}
 	st := hashed.B.Stats()
 	if st.GatesRequested == 0 || st.GatesEmitted == 0 {
@@ -330,4 +334,129 @@ func TestHashingReducesEncoding(t *testing.T) {
 	if st.GatesEmitted+st.GatesFolded+st.GatesReused() != st.GatesRequested {
 		t.Errorf("gate accounting does not balance: %+v", st)
 	}
+}
+
+// TestEquisatSpecsAcrossEncoders is the spec-level half of the harness:
+// paper-shaped specs are encoded once, compiled by the production encoder
+// and by the legacy oracle, and both must prove the same optimum k* — SAT
+// under the bound literal cost ≤ k*, UNSAT under cost ≤ k*−1. The optimum
+// comes from a binary search over the production encoding's bound
+// literals, the probes opt.Minimize issues. Instances are kept small so
+// the check stays fast under -race (`make equisat` runs it there).
+func TestEquisatSpecsAcrossEncoders(t *testing.T) {
+	specs := []struct {
+		name string
+		sys  *model.System
+		obj  encode.Objective
+	}{
+		{"table1-ring", workload.Partition(workload.T43(), 8), encode.MinimizeTRT},
+		{"table1-can", workload.Partition(workload.T43CAN(), 8), encode.MinimizeBusUtilization},
+		{"table2-ring4", table2Spec(4), encode.MinimizeTRT},
+		{"tiny-ring", tinyRing(), encode.MinimizeTRT},
+	}
+	for _, spec := range specs {
+		t.Run(spec.name, func(t *testing.T) {
+			enc, err := encode.Encode(spec.sys, encode.Options{Objective: spec.obj, ObjectiveMedium: -1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hashed, err := Compile(enc.F)
+			if err != nil {
+				t.Fatal(err)
+			}
+			legacy, err := compileLegacy(enc.F)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best, feasible := minimumCost(t, hashed, enc.Cost)
+			t.Logf("feasible=%v optimum=%d hashed vars=%d literals=%d, legacy vars=%d literals=%d",
+				feasible, best, hashed.S.NumVariables(), hashed.S.Stats.NumLiterals,
+				legacy.S.NumVariables(), legacy.S.Stats.NumLiterals)
+			for _, m := range []struct {
+				name string
+				enc  encoding
+			}{{"hash-adder", hashed}, {"legacy", legacy}} {
+				if !feasible {
+					if st := m.enc.Solve(); st != sat.Unsat {
+						t.Errorf("%s: %v, want UNSAT (infeasible spec)", m.name, st)
+					}
+					continue
+				}
+				if st := solveCostAtMost(t, m.enc, enc.Cost, best); st != sat.Sat {
+					t.Errorf("%s: cost ≤ %d is %v, want SAT", m.name, best, st)
+				}
+				if st := solveCostAtMost(t, m.enc, enc.Cost, best-1); st != sat.Unsat {
+					t.Errorf("%s: cost ≤ %d is %v, want UNSAT", m.name, best-1, st)
+				}
+			}
+		})
+	}
+}
+
+// minimumCost binary-searches the least k with cost ≤ k satisfiable;
+// feasible is false when the encoding has no model at all.
+func minimumCost(t *testing.T, e encoding, cost *ir.IntVar) (best int64, feasible bool) {
+	t.Helper()
+	switch st := e.Solve(); st {
+	case sat.Unsat:
+		return 0, false
+	case sat.Sat:
+	default:
+		t.Fatalf("initial solve: %v", st)
+	}
+	lo, hi := cost.Lo, e.Int(cost)
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		switch st := solveCostAtMost(t, e, cost, mid); st {
+		case sat.Sat:
+			hi = e.Int(cost)
+		case sat.Unsat:
+			lo = mid + 1
+		default:
+			t.Fatalf("probe cost ≤ %d: %v", mid, st)
+		}
+	}
+	return hi, true
+}
+
+// solveCostAtMost solves under the assumption cost ≤ k.
+func solveCostAtMost(t *testing.T, e encoding, cost *ir.IntVar, k int64) sat.Status {
+	t.Helper()
+	l, err := e.UpperBoundLit(cost, k)
+	if err != nil {
+		t.Fatalf("bound literal cost ≤ %d: %v", k, err)
+	}
+	return e.Solve(l)
+}
+
+// tinyRing builds a 2-ECU token ring with three tasks and one message.
+func tinyRing() *model.System {
+	s := &model.System{Name: "tiny"}
+	s.ECUs = []*model.ECU{{ID: 0, Name: "p0"}, {ID: 1, Name: "p1"}}
+	s.Media = []*model.Medium{{
+		ID: 0, Name: "ring", Kind: model.TokenRing, ECUs: []int{0, 1},
+		TimePerUnit: 1, SlotQuantum: 2, MaxSlots: 8,
+	}}
+	s.Tasks = []*model.Task{
+		{ID: 0, Name: "sense", Period: 40, Deadline: 30, WCET: map[int]int64{0: 6, 1: 6}, Messages: []int{0}},
+		{ID: 1, Name: "act", Period: 40, Deadline: 40, WCET: map[int]int64{0: 8, 1: 8}},
+		{ID: 2, Name: "load", Period: 20, Deadline: 20, WCET: map[int]int64{0: 9, 1: 9}},
+	}
+	s.Messages = []*model.Message{
+		{ID: 0, Name: "m0", From: 0, To: 1, Size: 3, Deadline: 25},
+	}
+	return s
+}
+
+// table2Spec builds the Table-2 architecture-scaling instance with n ring
+// ECUs at the benchmark's scaled workload shape.
+func table2Spec(n int) *model.System {
+	o := workload.T43Options()
+	o.Tasks = 8
+	o.Chains = 2
+	o.Restricted = 1
+	o.SeparatedPairs = 1
+	sys := workload.Populate(workload.RingArchitecture(n), o)
+	sys.Name = fmt.Sprintf("table2-ring%d", n)
+	return sys
 }

@@ -7,43 +7,6 @@ import (
 	"satalloc/internal/sat"
 )
 
-// Comparator selects the circuit family used for comparisons against
-// constants: integer range assertions, relational triplets with a constant
-// side, and the binary search's cost-probe literals (CmpConstLit).
-type Comparator int
-
-const (
-	// ComparatorAdder is the subtract-based comparator of §5.1: the sign
-	// bit of x − k at width w+1. Under structural hashing the constant
-	// operand folds each full adder down to a two-input carry gate, so the
-	// hashed adder comparator is a carry chain plus one sum bit.
-	ComparatorAdder Comparator = iota
-	// ComparatorLadder is a totalizer-style unary chain: scanning the
-	// offset-binary bits LSB→MSB, each step is a single two-input AND/OR
-	// gate, and chains for nearby bounds share prefixes through the gate
-	// cache. It applies only to constant bounds; variable-variable
-	// comparisons always use the adder.
-	ComparatorLadder
-)
-
-// ParseComparator maps a CLI/flag spelling to a Comparator.
-func ParseComparator(s string) (Comparator, error) {
-	switch s {
-	case "", "adder":
-		return ComparatorAdder, nil
-	case "ladder":
-		return ComparatorLadder, nil
-	}
-	return 0, fmt.Errorf("bv: unknown comparator %q (want adder or ladder)", s)
-}
-
-func (c Comparator) String() string {
-	if c == ComparatorLadder {
-		return "ladder"
-	}
-	return "adder"
-}
-
 // EncodeStats counts gate-level work during bit-blasting. A "gate" is one
 // request for a Boolean function of up to three literals (AND, XOR, XOR3,
 // MAJ); vector circuits are built from these. Requested = Emitted + Folded
@@ -66,9 +29,6 @@ func (st EncodeStats) GatesReused() int64 {
 // growing as CmpConstLit builds probe circuits after the initial blast,
 // which is how the optimizer measures per-iteration encode work.
 func (b *Blaster) Stats() EncodeStats { return b.stats }
-
-// hashed reports whether this blaster runs the structural-hashing path.
-func (b *Blaster) hashed() bool { return b.cache != nil }
 
 type gateOp uint8
 
@@ -441,7 +401,8 @@ func (b *Blaster) signOfSubH(x, y []sat.Lit) (sat.Lit, error) {
 	return b.xor3Lit(x[w-1], y[w-1].Not(), c)
 }
 
-// signBitOfDiffH is signBitOfDiff over the carry-only subtractor.
+// signBitOfDiffH returns the sign bit of x − y over atoms, computed at
+// width w+1 so the subtraction cannot wrap.
 func (b *Blaster) signBitOfDiffH(xa, ya ir.Atom) (sat.Lit, error) {
 	w := b.atomWidth(xa)
 	if wy := b.atomWidth(ya); wy > w {
@@ -451,43 +412,7 @@ func (b *Blaster) signBitOfDiffH(xa, ya ir.Atom) (sat.Lit, error) {
 	return b.signOfSubH(b.atomVec(xa, w), b.atomVec(ya, w))
 }
 
-// ladderLE returns a literal ⇔ (v ≤ k) for the signed vector v, as a unary
-// LSB→MSB chain over the offset-binary form (sign bit flipped, bound
-// shifted by 2^(w−1)): at each position the chain literal is a single
-// AND/OR gate, so bounds sharing low offset bits share chain prefixes.
-func (b *Blaster) ladderLE(vec []sat.Lit, k int64) (sat.Lit, error) {
-	w := len(vec)
-	min := int64(-1) << (w - 1)
-	max := -min - 1
-	if k >= max {
-		return b.lTrue, nil
-	}
-	if k < min {
-		return b.lTrue.Not(), nil
-	}
-	kb := uint64(k - min)
-	le := b.lTrue
-	var err error
-	for i := 0; i < w; i++ {
-		y := vec[i]
-		if i == w-1 {
-			y = y.Not() // offset-binary: flip the sign bit
-		}
-		// v[0..i] ≤ kb[0..i] ⇔ (v_i < kb_i) ∨ (v_i = kb_i ∧ le_{i−1}).
-		if kb&(1<<uint(i)) != 0 {
-			le, err = b.orLit(y.Not(), le)
-		} else {
-			le, err = b.andLit(y.Not(), le)
-		}
-		if err != nil {
-			return sat.LitUndef, err
-		}
-	}
-	return le, nil
-}
-
-// blastHashed is the structural-hashing encoding pass. It differs from the
-// legacy pass in two structural ways: defined integers and Booleans alias
+// blastHashed is the encoding pass. Defined integers and Booleans alias
 // their circuit's output wires instead of being equated to fresh variables
 // (sound because ToTriplets emits definitions in topological order, each
 // result defined exactly once), and every gate goes through the
@@ -600,24 +525,13 @@ func (b *Blaster) blastIntDefH(d ir.IntDef) error {
 	return b.rangeAsserts(out, info)
 }
 
-// leLit returns a literal ⇔ (x ≤ y) over atoms, routing constant bounds
-// through the selected comparator family.
+// leLit returns a literal ⇔ (x ≤ y) over atoms.
 func (b *Blaster) leLit(xa, ya ir.Atom) (sat.Lit, error) {
 	if xa.IsConst && ya.IsConst {
 		if xa.Const <= ya.Const {
 			return b.lTrue, nil
 		}
 		return b.lTrue.Not(), nil
-	}
-	if b.opts.Comparator == ComparatorLadder {
-		if ya.IsConst {
-			return b.ladderLE(b.vecs[xa.Var], ya.Const)
-		}
-		if xa.IsConst {
-			// k ≤ v ⇔ ¬(v ≤ k−1).
-			g, err := b.ladderLE(b.vecs[ya.Var], xa.Const-1)
-			return g.Not(), err
-		}
 	}
 	// x ≤ y ⇔ ¬sign(y − x).
 	sgn, err := b.signBitOfDiffH(ya, xa)
@@ -680,45 +594,19 @@ func (b *Blaster) blastGateH(g ir.Gate) error {
 	return nil
 }
 
-// assertCmpConstH asserts v ≥ k (ge) or v ≤ k through the selected
-// comparator family.
-func (b *Blaster) assertCmpConstH(vec []sat.Lit, k int64, ge bool) error {
-	var l sat.Lit
-	var err error
-	if b.opts.Comparator == ComparatorLadder {
-		if ge {
-			l, err = b.ladderLE(vec, k-1)
-			l = l.Not()
-		} else {
-			l, err = b.ladderLE(vec, k)
-		}
-	} else {
-		w := len(vec) + 1
-		x := signExtend(vec, w)
-		y := b.constVec(k, w)
-		if ge {
-			l, err = b.signOfSubH(x, y) // sign(v − k); ≥ ⇔ ¬sign
-		} else {
-			l, err = b.signOfSubH(y, x)
-		}
-		l = l.Not()
-	}
+// assertCmpConst asserts v ≥ k (ge) or v ≤ k against a constant: the
+// sign bit of the width-(w+1) subtraction, whose constant operand folds
+// each full adder down to a two-input carry gate.
+func (b *Blaster) assertCmpConst(vec []sat.Lit, k int64, ge bool) error {
+	l, err := b.cmpConstLit(vec, k, !ge)
 	if err != nil {
 		return err
 	}
 	return b.S.AddClause(l)
 }
 
-// cmpConstLitH builds the (un-memoized) probe literal for v ≤ k / v ≥ k.
-func (b *Blaster) cmpConstLitH(id int, k int64, le bool) (sat.Lit, error) {
-	vec := b.vecs[id]
-	if b.opts.Comparator == ComparatorLadder {
-		if le {
-			return b.ladderLE(vec, k)
-		}
-		g, err := b.ladderLE(vec, k-1) // v ≥ k ⇔ ¬(v ≤ k−1)
-		return g.Not(), err
-	}
+// cmpConstLit builds the (un-memoized) literal for v ≤ k (le) or v ≥ k.
+func (b *Blaster) cmpConstLit(vec []sat.Lit, k int64, le bool) (sat.Lit, error) {
 	w := len(vec) + 1
 	x := signExtend(vec, w)
 	y := b.constVec(k, w)

@@ -42,21 +42,18 @@ func CompileIntoWith(s *sat.Solver, f *ir.Formula, opts Options) (*System, error
 	tsp.Attr("int_defs", len(tr.IntDefs)).Attr("cmp_defs", len(tr.CmpDefs)).
 		Attr("gates", len(tr.Gates)).End()
 	bsp := opts.Trace.Child("BitBlast")
-	b, err := BlastWith(s, tr, opts)
+	b, err := Blast(s, tr)
 	if err != nil {
 		bsp.Attr("error", err.Error()).End()
 		return nil, err
 	}
+	st := b.Stats()
 	bsp.Attr("vars", s.NumVariables()).Attr("clauses", s.Stats.NumClauses).
-		Attr("pb", s.Stats.NumPB).Attr("literals", s.Stats.NumLiterals)
-	if b.hashed() {
-		st := b.Stats()
-		bsp.Attr("gates_requested", st.GatesRequested).
-			Attr("gates_emitted", st.GatesEmitted).
-			Attr("gates_folded", st.GatesFolded).
-			Attr("gates_reused", st.GatesReused())
-	}
-	bsp.End()
+		Attr("pb", s.Stats.NumPB).Attr("literals", s.Stats.NumLiterals).
+		Attr("gates_requested", st.GatesRequested).
+		Attr("gates_emitted", st.GatesEmitted).
+		Attr("gates_folded", st.GatesFolded).
+		Attr("gates_reused", st.GatesReused()).End()
 	return &System{F: f, Tr: tr, B: b, S: s}, nil
 }
 

@@ -53,22 +53,12 @@ type Config struct {
 	// FreshSolverPerCall disables the learned-clause reuse of §7 and
 	// rebuilds the solver for every SOLVE call of the binary search.
 	FreshSolverPerCall bool
-	// Comparator selects the bit-blaster's comparator family for constant
-	// bounds: bv.ComparatorAdder (default, the paper's subtract-based
-	// circuit) or bv.ComparatorLadder (totalizer-style unary chains). See
-	// encode.Options.Comparator.
-	Comparator bv.Comparator
-	// DisableHashing turns off the bit-blaster's structural hashing and
-	// reverts to the legacy one-circuit-per-triplet encoding (ablation
-	// and A/B benchmarking only).
-	DisableHashing bool
 	// MaxConflictsPerCall aborts runaway solves; 0 = unlimited.
 	MaxConflictsPerCall int64
 	// Workers sets the clause-sharing CDCL portfolio size for each SOLVE
 	// call of the binary search (see opt.Options.Workers): ≥ 2 races that
 	// many diversified workers, ≤ 1 (including the zero value) keeps the
-	// sequential solver. In SolvePortfolio the exact arm becomes this
-	// parallel portfolio.
+	// sequential solver.
 	Workers int
 	// Proof enables DRAT-modulo-PB proof logging and checking (see
 	// opt.Options.Proof): every UNSAT verdict of the run — including the
@@ -90,9 +80,7 @@ type Config struct {
 	// DiagnosticsDir is where panic repro bundles are written; empty uses
 	// DefaultDiagnosticsDir.
 	DiagnosticsDir string
-	// Logf receives progress lines when set. SolvePortfolio invokes it
-	// from both arms concurrently, so it must be safe for concurrent use
-	// there.
+	// Logf receives progress lines when set.
 	Logf func(format string, args ...any)
 	// Trace, when set, is the parent span under which the whole pipeline
 	// (Encode → Triplet → BitBlast → Solve[i] → Decode → Verify) records
@@ -233,8 +221,6 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 		Objective:       cfg.Objective,
 		ObjectiveMedium: objMedium,
 		Trace:           cfg.Trace,
-		Comparator:      cfg.Comparator,
-		DisableHashing:  cfg.DisableHashing,
 	}
 	enc, err := encode.Encode(sys, encOpts)
 	if err != nil {

@@ -11,8 +11,8 @@ package encode
 
 import (
 	"fmt"
+	"sort"
 
-	"satalloc/internal/bv"
 	"satalloc/internal/ir"
 	"satalloc/internal/model"
 	"satalloc/internal/obs"
@@ -67,17 +67,6 @@ type Options struct {
 	// Trace, when set, is the parent span under which Encode records its
 	// work. Nil disables tracing.
 	Trace *obs.Span
-	// Comparator selects the bit-blaster's circuit family for comparisons
-	// against constants (range assertions, constant-sided relational
-	// constraints, and the optimizer's cost probes): the subtract-based
-	// adder comparator (default) or the totalizer-style unary ladder. See
-	// bv.Comparator.
-	Comparator bv.Comparator
-	// DisableHashing turns off the bit-blaster's structural hashing
-	// (gate-level CSE, constant folding, and output aliasing), restoring
-	// the legacy one-circuit-per-triplet encoding. For ablations and A/B
-	// benchmarks only.
-	DisableHashing bool
 	// Groups, when set, guards every model-level constraint family behind
 	// a named selector variable (see ConstraintGroup): solving under the
 	// assumption "all selectors true" reproduces the plain encoding, and
@@ -272,9 +261,9 @@ func (e *Encoding) encodeAllocation() error {
 				continue // handled once per unordered pair
 			}
 			e.begin(GroupSeparation, t.Name+"+"+e.Sys.TaskByID(other).Name)
-			for p, v1 := range e.alloc[t.ID] {
+			for _, p := range sortedKeysB(e.alloc[t.ID]) {
 				if v2, ok := e.alloc[other][p]; ok {
-					e.req(ir.NotE(ir.And(v1, v2)))
+					e.req(ir.NotE(ir.And(e.alloc[t.ID][p], v2)))
 				}
 			}
 		}
@@ -331,10 +320,16 @@ func (e *Encoding) encodeAllocation() error {
 	// on equal-deadline triples.
 	e.begin(GroupPriority, "order")
 	byDeadline := map[int64][]int{}
+	var deadlines []int64
 	for _, t := range e.Sys.Tasks {
+		if _, ok := byDeadline[t.Deadline]; !ok {
+			deadlines = append(deadlines, t.Deadline)
+		}
 		byDeadline[t.Deadline] = append(byDeadline[t.Deadline], t.ID)
 	}
-	for _, group := range byDeadline {
+	sort.Slice(deadlines, func(i, j int) bool { return deadlines[i] < deadlines[j] })
+	for _, d := range deadlines {
+		group := byDeadline[d]
 		if len(group) < 3 {
 			continue
 		}

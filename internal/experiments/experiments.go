@@ -436,13 +436,10 @@ func FormatReuse(r *ReuseRow) string {
 		r.Incremental.Round(time.Millisecond), r.Fresh.Round(time.Millisecond), r.Speedup, r.CostsAgree)
 }
 
-// EncodeStatsRow describes one encoder configuration applied to one
-// Table-1 spec: formula size after bit-blasting plus the structural-
-// hashing gate accounting (all-zero for the legacy encoder, which keeps
-// no gate cache).
+// EncodeStatsRow describes one Table-1 spec after bit-blasting: formula
+// size plus the structural-hashing gate accounting.
 type EncodeStatsRow struct {
 	Spec      string
-	Encoder   string
 	Vars      int
 	Literals  int64
 	Requested int64
@@ -452,11 +449,10 @@ type EncodeStatsRow struct {
 }
 
 // EncodeStatsTable bit-blasts the Table-1 specs — compile only, no
-// solving — under the legacy encoder and both structural-hashing
-// comparator variants, and reports the gate accounting behind the
-// satalloc_encode_* series. This is the `make encode-stats` view of the
-// encoding-size trajectory: the legacy row is the baseline formula size,
-// the hash rows show how much of it CSE and constant folding remove.
+// solving — and reports the gate accounting behind the satalloc_encode_*
+// series: how many gate requests were emitted, folded by constant
+// propagation, or answered from the structural-hashing cache. This is the
+// `make encode-stats` view of the encoding-size trajectory.
 func EncodeStatsTable(m Mode) ([]EncodeStatsRow, error) {
 	nRing, nCAN := table1Sizes(m)
 	specs := []struct {
@@ -469,33 +465,23 @@ func EncodeStatsTable(m Mode) ([]EncodeStatsRow, error) {
 		{fmt.Sprintf("[5] + CAN %d tasks", nCAN), workload.Partition(workload.T43CAN(), nCAN),
 			encode.Options{Objective: encode.MinimizeBusUtilization, ObjectiveMedium: -1}},
 	}
-	encoders := []struct {
-		name string
-		opts bv.Options
-	}{
-		{"legacy", bv.Options{DisableHashing: true}},
-		{"hash/adder", bv.Options{Comparator: bv.ComparatorAdder}},
-		{"hash/ladder", bv.Options{Comparator: bv.ComparatorLadder}},
-	}
 	var rows []EncodeStatsRow
 	for _, spec := range specs {
 		enc, err := encode.Encode(spec.sys, spec.opts)
 		if err != nil {
 			return nil, err
 		}
-		for _, e := range encoders {
-			compiled, err := bv.CompileWith(enc.F, e.opts)
-			if err != nil {
-				return nil, err
-			}
-			st := compiled.B.Stats()
-			rows = append(rows, EncodeStatsRow{
-				Spec: spec.name, Encoder: e.name,
-				Vars: compiled.S.NumVariables(), Literals: compiled.S.Stats.NumLiterals,
-				Requested: st.GatesRequested, Emitted: st.GatesEmitted,
-				Folded: st.GatesFolded, Reused: st.GatesReused(),
-			})
+		compiled, err := bv.Compile(enc.F)
+		if err != nil {
+			return nil, err
 		}
+		st := compiled.B.Stats()
+		rows = append(rows, EncodeStatsRow{
+			Spec: spec.name,
+			Vars: compiled.S.NumVariables(), Literals: compiled.S.Stats.NumLiterals,
+			Requested: st.GatesRequested, Emitted: st.GatesEmitted,
+			Folded: st.GatesFolded, Reused: st.GatesReused(),
+		})
 	}
 	return rows, nil
 }
@@ -503,12 +489,12 @@ func EncodeStatsTable(m Mode) ([]EncodeStatsRow, error) {
 // FormatEncodeStats renders the EncodeStatsTable gate-accounting table.
 func FormatEncodeStats(rows []EncodeStatsRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Encoding size: Table-1 specs by encoder (compile only, no solving)\n")
-	fmt.Fprintf(&b, "%-22s %-12s %9s %12s %10s %10s %9s %9s\n",
-		"Spec", "Encoder", "Vars", "Literals", "Requested", "Emitted", "Folded", "Reused")
+	fmt.Fprintf(&b, "Encoding size: Table-1 specs (compile only, no solving)\n")
+	fmt.Fprintf(&b, "%-22s %9s %12s %10s %10s %9s %9s\n",
+		"Spec", "Vars", "Literals", "Requested", "Emitted", "Folded", "Reused")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %-12s %9d %12d %10d %10d %9d %9d\n",
-			r.Spec, r.Encoder, r.Vars, r.Literals, r.Requested, r.Emitted, r.Folded, r.Reused)
+		fmt.Fprintf(&b, "%-22s %9d %12d %10d %10d %9d %9d\n",
+			r.Spec, r.Vars, r.Literals, r.Requested, r.Emitted, r.Folded, r.Reused)
 	}
 	return b.String()
 }

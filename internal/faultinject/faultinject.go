@@ -5,8 +5,8 @@
 //
 // The harness is dormant by default: Fire is a single atomic load when no
 // hook is installed, so the instrumented sites cost nothing in production.
-// All functions are safe for concurrent use (the portfolio fires from two
-// goroutines at once).
+// All functions are safe for concurrent use (parallel solver workers and
+// serve workers fire from many goroutines at once).
 package faultinject
 
 import (
@@ -26,10 +26,6 @@ const (
 	// SiteSatParallelWorker fires on each portfolio worker's goroutine as
 	// its race leg begins (before the worker's Solve call).
 	SiteSatParallelWorker = "sat.parallel.worker"
-	// SitePortfolioExact fires at the start of the portfolio's exact arm.
-	SitePortfolioExact = "portfolio.exact"
-	// SitePortfolioSA fires at the start of the portfolio's heuristic arm.
-	SitePortfolioSA = "portfolio.sa"
 	// SiteServeAdmit fires in the allocation daemon's admission path, after
 	// the spec parsed but before the job is registered and enqueued.
 	SiteServeAdmit = "serve.admit"

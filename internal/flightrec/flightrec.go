@@ -34,8 +34,7 @@ type Event struct {
 	// Kind names the event source, dot-scoped by layer: "sat.solve",
 	// "sat.restart", "sat.reduce", "sat.done", "opt.iter", "opt.bounds",
 	// "opt.incumbent", "opt.budget", "core.solve.start",
-	// "core.solve.end", "core.panic", "portfolio.incumbent",
-	// "portfolio.arm".
+	// "core.solve.end", "core.panic".
 	Kind string `json:"kind"`
 	// Detail is a human-readable "k=v ..." line with the event payload.
 	Detail string `json:"detail,omitempty"`
