@@ -123,15 +123,6 @@ func run() int {
 	default:
 		fatal(fmt.Errorf("unknown objective %q", *objective))
 	}
-	if *verbose {
-		cfg.Logf = func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
-		}
-	}
-	if *progress > 0 {
-		cfg.Progress = obs.NewProgressPrinter(os.Stderr, *progress)
-	}
-
 	root, err := trace.Start("allocate")
 	if err != nil {
 		fatal(err)
@@ -145,8 +136,15 @@ func run() int {
 		fatal(err)
 	}
 	defer ops.Close("allocate")
-	cfg.Metrics = ops.Metrics
-	cfg.FlightRecorder = ops.Recorder
+	cfg.Observer = ops.Observer()
+	if *verbose {
+		cfg.Observer.Log = func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "# "+format+"\n", args...)
+		}
+	}
+	if *progress > 0 {
+		cfg.Observer.Progress = obs.NewProgressPrinter(os.Stderr, *progress)
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {

@@ -46,6 +46,7 @@ import (
 	"satalloc/internal/flightrec"
 	"satalloc/internal/metrics"
 	"satalloc/internal/metrics/ophttp"
+	"satalloc/internal/obs"
 	"satalloc/internal/serve"
 )
 
@@ -89,8 +90,7 @@ func run() int {
 		MaxAttempts:    *retries + 1,
 		DataDir:        *dataDir,
 		Metrics:        serve.NewMetrics(registry),
-		Solver:         solver,
-		Recorder:       recorder,
+		Observer:       &obs.Observer{Metrics: solver, Recorder: recorder},
 		Logf:           logf,
 	})
 	if err != nil {

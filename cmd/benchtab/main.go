@@ -69,8 +69,7 @@ func run() int {
 		MaxConflictsPerCall: budgetFlags.ConflictBudget,
 		Workers:             *workers,
 		Trace:               root,
-		Metrics:             ops.Metrics,
-		Recorder:            ops.Recorder,
+		Observer:            ops.Observer(),
 	}
 
 	mode := experiments.Scaled

@@ -93,34 +93,45 @@ func run() int {
 	}
 	defer ops.Close("solvesat")
 
-	var hook func(sat.Progress)
+	ob := ops.Observer()
 	if *progress > 0 {
-		hook = obs.NewProgressPrinter(os.Stderr, *progress)
+		ob.Progress = obs.NewProgressPrinter(os.Stderr, *progress)
 	}
-	hook = obs.TeeProgress(hook,
-		obs.MetricsProgress(ops.Metrics), obs.FlightProgress(ops.Recorder))
 
-	// mkSolve upgrades the parsed solver to a clause-sharing portfolio when
-	// -workers asks for one; with workers ≤ 1 it is the sequential solver
-	// unchanged. The returned function runs one SOLVE call wrapped in a
-	// trace span and the per-call metrics, so the ops endpoint sees the
-	// iterative-strengthening rounds (and the shared-clause deltas).
+	// mkSolve wires the parsed solver to the budget, the context and the
+	// observer, upgrading it to a clause-sharing portfolio when -workers
+	// asks for one. The returned function runs one SOLVE call in a trace
+	// span and reports it to the observer, so the ops endpoint sees the
+	// iterative-strengthening rounds, races and shared-clause deltas.
 	call := 0
 	mkSolve := func(s *sat.Solver) func() sat.Status {
+		s.Stop = func() bool { return ctx.Err() != nil }
+		s.MaxConflicts = budget.ConflictBudget
+		ob.Attach(s)
 		var par *sat.ParallelSolver
 		var lastShared sat.ParallelStats
 		if *workers >= 2 {
 			var err error
-			par, err = sat.NewParallel(s, sat.ParallelOptions{Workers: *workers})
+			par, err = sat.NewParallel(s, sat.ParallelOptions{
+				Workers:       *workers,
+				OnWorkerStart: ob.WorkerStart,
+				OnWorkerDone:  ob.WorkerDone,
+			})
 			if err != nil {
 				fatal(err)
 			}
-			ops.Metrics.RecordParallelWorkers(*workers)
+			ob.Portfolio(*workers)
+		}
+		conflicts := func() int64 {
+			if par != nil {
+				return par.TotalStats().Conflicts
+			}
+			return s.Stats.Conflicts
 		}
 		return func() sat.Status {
 			call++
 			sp := root.Child(fmt.Sprintf("Solve[%d]", call))
-			start := time.Now()
+			start, pre := time.Now(), conflicts()
 			var st sat.Status
 			if par != nil {
 				st = par.Solve()
@@ -128,14 +139,12 @@ func run() int {
 					fatal(err)
 				}
 				snap := par.Snapshot()
-				ops.Metrics.RecordShared(snap.Exported-lastShared.Exported,
-					snap.Imported-lastShared.Imported, snap.Filtered-lastShared.Filtered)
-				lastShared = snap
+				ob.Shared(&lastShared, snap)
 				sp.Attr("winner", snap.LastWinner)
 			} else {
 				st = s.Solve()
 			}
-			ops.Metrics.RecordIter(time.Since(start), st == sat.Unknown)
+			ob.Iter(call, -1, -1, st, -1, conflicts()-pre, time.Since(start))
 			sp.Attr("status", st.String()).End()
 			return st
 		}
@@ -179,10 +188,6 @@ func run() int {
 		if err != nil {
 			fatal(err)
 		}
-		s.OnProgress = hook
-		s.OnConflict = ops.Metrics.ConflictHook()
-		s.Stop = func() bool { return ctx.Err() != nil }
-		s.MaxConflicts = budget.ConflictBudget
 		st := mkSolve(s)()
 		if plog != nil {
 			// Written for every outcome, like other proof-logging solvers:
@@ -212,10 +217,6 @@ func run() int {
 		if err != nil {
 			fatal(err)
 		}
-		s.OnProgress = hook
-		s.OnConflict = ops.Metrics.ConflictHook()
-		s.Stop = func() bool { return ctx.Err() != nil }
-		s.MaxConflicts = budget.ConflictBudget
 		n := s.NumVariables()
 		solve := mkSolve(s)
 		if len(obj) == 0 {
@@ -248,11 +249,10 @@ func run() int {
 					v += t.Coef
 				}
 			}
+			ob.Incumbent(v, !haveModel)
 			haveModel = true
 			best = v
 			model = snapshot(s, n)
-			ops.Metrics.RecordIncumbent(v)
-			ops.Recorder.Record("opt.incumbent", "objective=%d", v)
 			fmt.Printf("o %d\n", v)
 			// Demand strictly better: Σ obj ≤ best−1 ⇔ Σ −obj ≥ −(best−1).
 			neg := make([]sat.PBTerm, len(obj))

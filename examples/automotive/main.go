@@ -12,6 +12,7 @@ import (
 
 	"satalloc/internal/core"
 	"satalloc/internal/model"
+	"satalloc/internal/obs"
 	"satalloc/internal/rta"
 	"satalloc/internal/sim"
 	"satalloc/internal/workload"
@@ -29,9 +30,9 @@ func main() {
 
 	sol, err := core.Solve(sys, core.Config{
 		Objective: core.MinimizeSumTRT,
-		Logf: func(format string, args ...any) {
+		Observer: &obs.Observer{Log: func(format string, args ...any) {
 			fmt.Printf("  [search] "+format+"\n", args...)
-		},
+		}},
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -8,22 +8,21 @@ import (
 	"satalloc/internal/flightrec"
 	"satalloc/internal/metrics"
 	"satalloc/internal/metrics/ophttp"
+	"satalloc/internal/obs"
 )
 
 // Ops carries the -ops-addr flag and, once Start ran, the live
 // instruments behind the ops HTTP listener. With the flag unset every
-// field stays nil, which downstream layers treat as "metrics disabled" —
-// wiring the zero Ops through a Config costs nil checks only.
+// instrument stays nil, which downstream layers treat as "metrics
+// disabled" — the observer built from the zero Ops costs nil checks only.
 type Ops struct {
 	// Addr is the -ops-addr value; empty disables the listener.
 	Addr string
-	// Registry, Metrics and Recorder are created by Start when the
-	// listener is enabled; nil otherwise.
-	Registry *metrics.Registry
-	Metrics  *metrics.SolverMetrics
-	Recorder *flightrec.Recorder
 
-	srv *ophttp.Server
+	// Created by Start when the listener is enabled; nil otherwise.
+	metrics  *metrics.SolverMetrics
+	recorder *flightrec.Recorder
+	srv      *ophttp.Server
 }
 
 // AddOpsFlags registers -ops-addr on the flag set and returns the Ops it
@@ -44,13 +43,13 @@ func (o *Ops) Start(component string) error {
 	if o.Addr == "" {
 		return nil
 	}
-	o.Registry = metrics.New()
-	o.Metrics = metrics.NewSolverMetrics(o.Registry)
-	o.Recorder = flightrec.New(flightrec.DefaultCapacity)
+	reg := metrics.New()
+	o.metrics = metrics.NewSolverMetrics(reg)
+	o.recorder = flightrec.New(flightrec.DefaultCapacity)
 	srv, err := ophttp.Start(o.Addr, ophttp.Options{
-		Registry:  o.Registry,
-		Solver:    o.Metrics,
-		Recorder:  o.Recorder,
+		Registry:  reg,
+		Solver:    o.metrics,
+		Recorder:  o.recorder,
 		Component: component,
 	})
 	if err != nil {
@@ -59,6 +58,13 @@ func (o *Ops) Start(component string) error {
 	o.srv = srv
 	fmt.Fprintf(os.Stderr, "%s: ops listening on http://%s\n", component, srv.Addr())
 	return nil
+}
+
+// Observer builds the one observer a CLI threads through its solves over
+// the ops instruments (nil while the listener is off); the caller adds
+// the progress printer and log sink it wants. Call it after Start.
+func (o *Ops) Observer() *obs.Observer {
+	return &obs.Observer{Metrics: o.metrics, Recorder: o.recorder}
 }
 
 // PublishExplain exposes v on the ops listener's /explain route. A no-op

@@ -5,6 +5,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"satalloc/internal/obs"
 	"satalloc/internal/opt"
 	"satalloc/internal/rta"
 )
@@ -25,13 +26,13 @@ func TestCancelMidSearchDeliversIncumbent(t *testing.T) {
 	var improvements atomic.Int64
 	sol, err := SolveContext(ctx, sys, Config{
 		Objective: MinimizeTRT,
-		OnImprove: func(lower, upper int64) {
+		Observer: &obs.Observer{OnImprove: func(lower, upper int64) {
 			if lower > upper {
 				t.Errorf("OnImprove window inverted: [%d,%d]", lower, upper)
 			}
 			improvements.Add(1)
 			cancel() // kill the search the moment an incumbent exists
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatalf("mid-search cancellation must degrade, not error: %v", err)
@@ -78,7 +79,7 @@ func TestOnImproveSeesMonotoneWindows(t *testing.T) {
 	calls := 0
 	sol, err := Solve(smallSystem(), Config{
 		Objective: MinimizeTRT,
-		OnImprove: func(lower, upper int64) {
+		Observer: &obs.Observer{OnImprove: func(lower, upper int64) {
 			calls++
 			if prevHi != int64(-1<<62) && upper > prevHi {
 				t.Errorf("upper bound went up: %d after %d", upper, prevHi)
@@ -87,7 +88,7 @@ func TestOnImproveSeesMonotoneWindows(t *testing.T) {
 				t.Errorf("lower bound went down: %d after %d", lower, prevLo)
 			}
 			prevLo, prevHi = lower, upper
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"satalloc/internal/bv"
 	"satalloc/internal/encode"
 	"satalloc/internal/flightrec"
-	"satalloc/internal/metrics"
 	"satalloc/internal/model"
 	"satalloc/internal/obs"
 	"satalloc/internal/opt"
@@ -80,32 +79,16 @@ type Config struct {
 	// DiagnosticsDir is where panic repro bundles are written; empty uses
 	// DefaultDiagnosticsDir.
 	DiagnosticsDir string
-	// Logf receives progress lines when set.
-	Logf func(format string, args ...any)
 	// Trace, when set, is the parent span under which the whole pipeline
 	// (Encode → Triplet → BitBlast → Solve[i] → Decode → Verify) records
 	// its spans. Nil disables tracing.
 	Trace *obs.Span
-	// Progress, when set, becomes the SAT solver's OnProgress hook (see
-	// sat.Solver.OnProgress and obs.NewProgressPrinter).
-	Progress func(sat.Progress)
-	// OnImprove, when set, receives the binary search's proven window
-	// [lower, upper] after the initial model and every subsequent window
-	// move (see opt.Options.OnImprove); upper is always the cost of a model
-	// already in hand, so this is the anytime incumbent stream the
-	// allocation service forwards to job watchers.
-	OnImprove func(lower, upper int64)
-	// Metrics, when set, receives the live counter/gauge/histogram series
-	// of the whole pipeline (search counters, LBD, bounds, incumbents,
-	// phase outcomes) — typically the instrument behind an ophttp ops
-	// listener. Nil disables metrics at the cost of one nil check per
-	// observation point.
-	Metrics *metrics.SolverMetrics
-	// FlightRecorder, when set, receives the recent-event ring that ends
-	// up in panic repro bundles and on /debug/flightrec. When nil,
-	// SolveContext still runs a private recorder internally so every
-	// bundle carries the event history leading up to a contained panic.
-	FlightRecorder *flightrec.Recorder
+	// Observer, when set, receives every observation of the pipeline:
+	// metrics, flight-recorder events, solver progress, log lines, and the
+	// anytime window stream (OnImprove). SolveContext adds a private flight
+	// recorder when it carries none, so every panic repro bundle holds the
+	// events leading up to the panic.
+	Observer *obs.Observer
 }
 
 // Solution is the outcome of a Solve run.
@@ -181,26 +164,21 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 		ctx, cancel = context.WithTimeout(ctx, cfg.Timeout)
 		defer cancel()
 	}
-	rec := cfg.FlightRecorder
-	if rec == nil {
+	ob := cfg.Observer.Copy()
+	if ob.Recorder == nil {
 		// Always keep a private ring so a contained panic's repro bundle
 		// carries the event history even when no recorder was wired up.
-		rec = flightrec.New(flightrec.DefaultCapacity)
+		ob.Recorder = flightrec.New(flightrec.DefaultCapacity)
 	}
-	cfg.Metrics.RecordSolveStart()
-	rec.Record("core.solve.start", "system=%s tasks=%d messages=%d",
-		sys.Name, len(sys.Tasks), len(sys.Messages))
+	ob.SolveStart(sys.Name, len(sys.Tasks), len(sys.Messages))
 	// Registered before the recover defer (LIFO) so it sees the final
 	// sol/err — including the PanicError the recover substitutes.
 	defer func() {
 		switch {
 		case sol != nil:
-			cfg.Metrics.RecordSolveEnd(sol.Status.String())
-			rec.Record("core.solve.end", "status=%s cost=%d conflicts=%d",
-				sol.Status, sol.Cost, sol.Conflicts)
+			ob.SolveEnd(sol.Status.String(), sol.Cost, sol.Conflicts)
 		case err != nil:
-			cfg.Metrics.RecordSolveEnd("error")
-			rec.Record("core.solve.end", "status=error err=%v", err)
+			ob.SolveFailed(err)
 		}
 	}()
 	var observed *bv.System
@@ -208,9 +186,8 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 	defer func() {
 		if r := recover(); r != nil {
 			sol = nil
-			cfg.Metrics.RecordPanic()
-			rec.Record("core.panic", "%v", r)
-			err = newPanicError(r, debug.Stack(), cfg.DiagnosticsDir, sys, observed, observedLog, rec)
+			ob.Panic(r)
+			err = newPanicError(r, debug.Stack(), cfg.DiagnosticsDir, sys, observed, observedLog, ob.Recorder)
 		}
 	}()
 	objMedium := cfg.ObjectiveMedium
@@ -231,12 +208,8 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 		MaxConflictsPerCall: cfg.MaxConflictsPerCall,
 		Workers:             cfg.Workers,
 		Proof:               cfg.Proof,
-		Logf:                cfg.Logf,
 		Trace:               cfg.Trace,
-		Progress:            cfg.Progress,
-		OnImprove:           cfg.OnImprove,
-		Metrics:             cfg.Metrics,
-		Recorder:            rec,
+		Observer:            &ob,
 		Ctx:                 ctx,
 		Observe:             func(b *bv.System) { observed = b },
 		ObserveProof:        func(l *proof.Log) { observedLog = l },
@@ -262,11 +235,8 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 			report, xerr := opt.ExplainInfeasible(sys, encOpts, opt.Options{
 				MaxConflictsPerCall: cfg.MaxConflictsPerCall,
 				Proof:               cfg.Proof,
-				Logf:                cfg.Logf,
 				Trace:               cfg.Trace,
-				Progress:            cfg.Progress,
-				Metrics:             cfg.Metrics,
-				Recorder:            rec,
+				Observer:            &ob,
 				Ctx:                 ctx,
 				ObserveProof:        func(l *proof.Log) { observedLog = l },
 			})
@@ -296,18 +266,6 @@ func SolveContext(ctx context.Context, sys *model.System, cfg Config) (sol *Solu
 func certificateLine(c *proof.Certificate) string {
 	return fmt.Sprintf("proof: %d log(s) checked, %d steps, %d UNSAT probes certified in %v\n",
 		len(c.Logs), c.Steps, c.Probes, c.CheckDuration.Round(time.Millisecond))
-}
-
-// CheckFeasible answers only the decision question "is any allocation
-// schedulable?", using one SOLVE call (no binary search beyond the first
-// model).
-func CheckFeasible(sys *model.System, cfg Config) (bool, error) {
-	cfg.MaxConflictsPerCall = 0
-	sol, err := Solve(sys, cfg)
-	if err != nil {
-		return false, err
-	}
-	return sol.Feasible, nil
 }
 
 // Explain renders a human-readable summary of a solution.

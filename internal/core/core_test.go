@@ -48,31 +48,6 @@ func TestSolveRespectsConfigDefaults(t *testing.T) {
 	}
 }
 
-func TestCheckFeasible(t *testing.T) {
-	sys := smallSystem()
-	ok, err := CheckFeasible(sys, Config{Objective: MinimizeTRT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Fatal("small system should be feasible")
-	}
-	// Make it impossible.
-	for _, task := range sys.Tasks {
-		for p := range task.WCET {
-			task.WCET[p] = task.Period
-		}
-		task.Deadline = task.Period
-	}
-	ok, err = CheckFeasible(sys, Config{Objective: MinimizeTRT})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
-		t.Fatal("overloaded system should be infeasible")
-	}
-}
-
 func TestExplain(t *testing.T) {
 	sys := smallSystem()
 	sol, err := Solve(sys, Config{Objective: MinimizeTRT})

@@ -24,8 +24,6 @@ import (
 	"satalloc/internal/bv"
 	"satalloc/internal/core"
 	"satalloc/internal/encode"
-	"satalloc/internal/flightrec"
-	"satalloc/internal/metrics"
 	"satalloc/internal/model"
 	"satalloc/internal/obs"
 	"satalloc/internal/report"
@@ -48,11 +46,10 @@ type Budget struct {
 	// Trace, when set, is the root span under which every instance's
 	// pipeline records its spans.
 	Trace *obs.Span
-	// Metrics and Recorder, when set, receive the live instrumentation of
-	// every solve in the suite (the counters accumulate across instances,
-	// which is what a scraper watching a long benchtab run wants).
-	Metrics  *metrics.SolverMetrics
-	Recorder *flightrec.Recorder
+	// Observer, when set, receives the live observations of every solve
+	// in the suite (the counters accumulate across instances, which is
+	// what a scraper watching a long benchtab run wants).
+	Observer *obs.Observer
 }
 
 // ctx returns the budget's context, defaulting to Background.
@@ -66,16 +63,15 @@ func (b Budget) ctx() context.Context {
 // cancelled reports whether the budget's context is done.
 func (b Budget) cancelled() bool { return b.ctx().Err() != nil }
 
-// config builds a core.Config carrying the budget's conflict cap and
-// observability sinks.
+// config builds a core.Config carrying the budget's conflict cap, trace
+// and observer.
 func (b Budget) config(obj core.Objective) core.Config {
 	return core.Config{
 		Objective:           obj,
 		MaxConflictsPerCall: b.MaxConflictsPerCall,
 		Workers:             b.Workers,
 		Trace:               b.Trace,
-		Metrics:             b.Metrics,
-		FlightRecorder:      b.Recorder,
+		Observer:            b.Observer,
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -115,9 +116,11 @@ func (g *Gauge) Value() int64 {
 }
 
 // Histogram counts observations into a fixed set of buckets with
-// inclusive upper bounds (ascending), plus an implicit +Inf bucket. The
-// bucket layout is fixed at registration, so Observe is a binary search
-// over a small slice plus two atomic adds — cheap enough for per-conflict
+// inclusive upper bounds (ascending), plus an implicit +Inf bucket, and
+// tracks the smallest and largest observation. The bucket layout is fixed
+// at registration, so Observe is a binary search over a small slice, a
+// few atomic adds, and two atomic loads that only turn into a
+// compare-and-swap on a new extreme — cheap enough for per-conflict
 // observations like LBD.
 //
 //satlint:nilsafe
@@ -126,12 +129,21 @@ type Histogram struct {
 	counts []atomic.Int64 // len(bounds)+1, non-cumulative per bucket
 	sum    atomic.Int64
 	count  atomic.Int64
+	// min and max start at the opposite extremes of int64 (see lookup),
+	// so the first observation replaces both.
+	min, max atomic.Int64
 }
 
 // Observe records one observation.
 func (h *Histogram) Observe(v int64) {
 	if h == nil {
 		return
+	}
+	// Extremes first: Snapshot reads them last, so every observation it
+	// counts is already inside the range it reports.
+	for cur := h.min.Load(); v < cur && !h.min.CompareAndSwap(cur, v); cur = h.min.Load() {
+	}
+	for cur := h.max.Load(); v > cur && !h.max.CompareAndSwap(cur, v); cur = h.max.Load() {
 	}
 	// Smallest bucket with bound >= v; len(bounds) is the +Inf bucket.
 	i := sort.Search(len(h.bounds), func(i int) bool { return h.bounds[i] >= v })
@@ -148,6 +160,13 @@ type HistogramSnapshot struct {
 	Counts []int64 `json:"counts"`
 	Sum    int64   `json:"sum"`
 	Count  int64   `json:"count"`
+	// Min and Max are the smallest and largest observation (0 while the
+	// histogram is empty).
+	Min int64 `json:"min"`
+	Max int64 `json:"max"`
+	// ranged marks Min and Max as observed, so Quantile may clamp to
+	// them; snapshots assembled by hand from buckets alone lack it.
+	ranged bool
 }
 
 // Snapshot copies the histogram's current state. The per-bucket counts
@@ -165,6 +184,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	}
 	for i := range h.counts {
 		s.Counts[i] = h.counts[i].Load()
+	}
+	if lo, hi := h.min.Load(), h.max.Load(); lo <= hi {
+		s.Min, s.Max, s.ranged = lo, hi, true
 	}
 	return s
 }
@@ -229,6 +251,8 @@ func (r *Registry) lookup(name, help string, kind Kind, bounds []int64, labels L
 			s.g = &Gauge{}
 		case KindHistogram:
 			s.h = &Histogram{bounds: f.bounds, counts: make([]atomic.Int64, len(f.bounds)+1)}
+			s.h.min.Store(math.MaxInt64)
+			s.h.max.Store(math.MinInt64)
 		}
 		f.series[key] = s
 	}

@@ -6,9 +6,7 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 func TestCounterGaugeBasics(t *testing.T) {
@@ -79,15 +77,9 @@ func TestNilSafety(t *testing.T) {
 	}
 
 	var m *SolverMetrics
-	if m.SearchHook() != nil || m.ConflictHook() != nil {
-		t.Fatal("nil SolverMetrics must hand out nil hooks")
+	if m.Registry() != nil {
+		t.Fatal("nil SolverMetrics must have no registry")
 	}
-	m.RecordIter(time.Second, true)
-	m.RecordBounds(1, 2)
-	m.RecordIncumbent(3)
-	m.RecordSolveStart()
-	m.RecordSolveEnd("optimal")
-	m.RecordPanic()
 }
 
 // promLine matches a sample line of the text exposition format.
@@ -181,106 +173,6 @@ func TestJSONExposition(t *testing.T) {
 	var hs HistogramSnapshot
 	if err := json.Unmarshal(out["h"], &hs); err != nil || hs.Count != 1 || hs.Sum != 9 {
 		t.Fatalf("histogram JSON wrong: %+v err=%v", hs, err)
-	}
-}
-
-func TestSearchHookDeltasAcrossFreshSolvers(t *testing.T) {
-	r := New()
-	m := NewSolverMetrics(r)
-	// Solver 1 reports cumulative counters up to 100 conflicts.
-	h1 := m.SearchHook()
-	h1(40, 10, 1000, 1, 5, 0, 5, 3)
-	h1(100, 30, 3000, 3, 20, 8, 12, 7)
-	// A fresh solver restarts its cumulative counters at zero; a fresh
-	// hook keeps the mirrored totals monotone.
-	h2 := m.SearchHook()
-	h2(50, 5, 500, 2, 10, 1, 9, 2)
-	if got := m.Conflicts.Value(); got != 150 {
-		t.Fatalf("conflicts = %d, want 150", got)
-	}
-	if got := m.Restarts.Value(); got != 5 {
-		t.Fatalf("restarts = %d, want 5", got)
-	}
-	if got := m.LearntDB.Value(); got != 9 {
-		t.Fatalf("learnt DB gauge = %d, want 9 (last report wins)", got)
-	}
-}
-
-func TestSolverMetricsRecords(t *testing.T) {
-	r := New()
-	m := NewSolverMetrics(r)
-	if m.BoundLower.Value() != -1 || m.IncumbentCost.Value() != -1 {
-		t.Fatal("unknown bounds must read -1")
-	}
-	m.RecordBounds(3, 9)
-	if m.BoundGap.Value() != 6 {
-		t.Fatalf("gap = %d", m.BoundGap.Value())
-	}
-	m.RecordIncumbent(9)
-	m.RecordIter(25*time.Millisecond, false)
-	m.RecordIter(time.Millisecond, true)
-	if m.SolveCalls.Value() != 2 || m.BudgetHits.Value() != 1 {
-		t.Fatal("iteration counters wrong")
-	}
-	m.RecordSolveEnd("optimal")
-	m.RecordSolveEnd("optimal")
-	m.RecordSolveEnd("feasible")
-	var buf bytes.Buffer
-	if err := r.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	samples := parsePrometheus(t, buf.String())
-	if samples[`satalloc_core_solves_completed_total{status="optimal"}`] != 2 ||
-		samples[`satalloc_core_solves_completed_total{status="feasible"}`] != 1 {
-		t.Fatalf("status-labelled completions wrong:\n%s", buf.String())
-	}
-	conflictHook := m.ConflictHook()
-	conflictHook(3, 2, 4)
-	if m.LBD.Snapshot().Count != 1 || m.Backjump.Snapshot().Count != 1 {
-		t.Fatal("conflict hook did not observe")
-	}
-}
-
-// TestConcurrentUse exercises every collector from many goroutines; run
-// under -race this proves the atomic paths.
-func TestConcurrentUse(t *testing.T) {
-	r := New()
-	m := NewSolverMetrics(r)
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			hook := m.SearchHook()
-			conflict := m.ConflictHook()
-			for j := 0; j < 1000; j++ {
-				hook(int64(j), int64(j), int64(j), int64(j/10), int64(j/5), int64(j/7), j%20, j%50)
-				conflict(j%30, j%10, j%8)
-				m.RecordBounds(int64(j), int64(j+10))
-				m.RecordIncumbent(int64(j))
-				r.Counter("dyn_total", "", Labels{"g": strconv.Itoa(i % 2)}).Inc()
-			}
-		}(i)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 50; i++ {
-			var buf bytes.Buffer
-			if err := r.WritePrometheus(&buf); err != nil {
-				t.Errorf("exposition during writes: %v", err)
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	<-done
-	if got := r.Counter("dyn_total", "", Labels{"g": "0"}).Value() +
-		r.Counter("dyn_total", "", Labels{"g": "1"}).Value(); got != 8000 {
-		t.Fatalf("dynamic counters lost increments: %d", got)
-	}
-	if m.LBD.Snapshot().Count != 8000 {
-		t.Fatalf("LBD observations lost: %d", m.LBD.Snapshot().Count)
 	}
 }
 

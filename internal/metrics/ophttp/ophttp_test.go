@@ -11,6 +11,8 @@ import (
 
 	"satalloc/internal/flightrec"
 	"satalloc/internal/metrics"
+	"satalloc/internal/obs"
+	"satalloc/internal/sat"
 )
 
 func startTestServer(t *testing.T, o Options) *Server {
@@ -48,12 +50,18 @@ func TestEndpoints(t *testing.T) {
 	s := startTestServer(t, Options{Registry: reg, Solver: m, Recorder: rec, Component: "test"})
 
 	// Simulate a solve in flight.
-	hook := m.SearchHook()
+	ob := &obs.Observer{Metrics: m}
+	solver := sat.New()
+	ob.Attach(solver)
+	hook := func(c, d, p, r, la, lp int64, learnts, trail int) {
+		solver.OnProgress(sat.Progress{Event: "restart", Conflicts: c, Decisions: d, Propagations: p,
+			Restarts: r, LearntAdded: la, LearntPruned: lp, Learnts: learnts, TrailDepth: trail})
+	}
 	hook(1200, 300, 90000, 7, 400, 100, 300, 42)
-	m.ConflictHook()(5, 3, 7)
-	m.RecordBounds(10, 25)
-	m.RecordIncumbent(25)
-	m.RecordIter(40*time.Millisecond, false)
+	solver.OnConflict(5, 3, 7)
+	ob.Bounds(10, 25)
+	ob.Incumbent(25, true)
+	ob.Iter(1, -1, -1, sat.Sat, 25, 1200, 40*time.Millisecond)
 	rec.Record("sat.restart", "conflicts=1200")
 
 	if code, body := get(t, s, "/healthz"); code != 200 || body != "ok\n" {

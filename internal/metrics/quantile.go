@@ -26,7 +26,20 @@ import (
 //     finite bound — the histogram cannot resolve beyond its layout, and
 //     a finite underestimate labeled as such beats a fabricated +Inf. A
 //     histogram with observations but no finite buckets returns NaN.
+//   - A snapshot of a live histogram carries the observed Min and Max,
+//     and the estimate is clamped to [Min, Max]: one 501 ms observation
+//     in the (500,1000] bucket reports 501 at every quantile, not a
+//     bucket edge no observation reached.
 func (s HistogramSnapshot) Quantile(q float64) float64 {
+	v := s.bucketQuantile(q)
+	if s.ranged && !math.IsNaN(v) {
+		v = math.Min(math.Max(v, float64(s.Min)), float64(s.Max))
+	}
+	return v
+}
+
+// bucketQuantile is Quantile's estimate from the buckets alone.
+func (s HistogramSnapshot) bucketQuantile(q float64) float64 {
 	if s.Count <= 0 || len(s.Counts) == 0 {
 		return math.NaN()
 	}

@@ -156,3 +156,57 @@ func TestLabelCapConcurrent(t *testing.T) {
 		t.Fatalf("admitted %v, want 4 values plus other", vals)
 	}
 }
+
+// TestQuantileWithinObservedRange: every percentile of a live histogram
+// lies inside the observed data, in order. Estimating from the buckets
+// alone, one 501 ms observation in the (500,1000] bucket reported 1000 at
+// p50, p90 and p99, and three zeros in the (0,1] bucket reported 0.67.
+func TestQuantileWithinObservedRange(t *testing.T) {
+	cases := []struct {
+		name string
+		obs  []int64
+	}{
+		{"single observation", []int64{501}},
+		{"all zero", []int64{0, 0, 0}},
+		{"spread over buckets", []int64{3, 7, 260, 480, 501, 999}},
+		{"overflow bucket", []int64{40, 400000}},
+	}
+	for _, c := range cases {
+		h := New().Histogram("satalloc_test_ms", "test", SolveCallMSBuckets, nil)
+		lo, hi := c.obs[0], c.obs[0]
+		for _, v := range c.obs {
+			h.Observe(v)
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		s := h.Snapshot()
+		p50, p90, p99 := s.Quantile(0.50), s.Quantile(0.90), s.Quantile(0.99)
+		if !(float64(lo) <= p50 && p50 <= p90 && p90 <= p99 && p99 <= float64(hi)) {
+			t.Errorf("%s: want %d ≤ p50 %v ≤ p90 %v ≤ p99 %v ≤ %d", c.name, lo, p50, p90, p99, hi)
+		}
+	}
+}
+
+// TestHistogramTracksExtremes: Snapshot reports the smallest and largest
+// observation, also when they race in from many goroutines; an empty
+// histogram reports neither and its quantiles stay NaN.
+func TestHistogramTracksExtremes(t *testing.T) {
+	h := New().Histogram("satalloc_test_ms", "test", LBDBuckets, nil)
+	if s := h.Snapshot(); s.Min != 0 || s.Max != 0 || !math.IsNaN(s.Quantile(0.5)) {
+		t.Fatalf("empty snapshot: min %d max %d p50 %v", s.Min, s.Max, s.Quantile(0.5))
+	}
+	var wg sync.WaitGroup
+	for g := int64(0); g < 8; g++ {
+		wg.Add(1)
+		go func(g int64) {
+			defer wg.Done()
+			for v := int64(1); v <= 500; v++ {
+				h.Observe(v*8 + g) // 8 … 4007 across all goroutines
+			}
+		}(g)
+	}
+	wg.Wait()
+	s := h.Snapshot()
+	if s.Min != 8 || s.Max != 4007 || s.Count != 4000 {
+		t.Fatalf("min %d max %d count %d, want 8, 4007, 4000", s.Min, s.Max, s.Count)
+	}
+}

@@ -1,10 +1,5 @@
 package metrics
 
-import (
-	"strconv"
-	"time"
-)
-
 // Default bucket layouts for the solver histograms. LBD and backjump
 // depth are small-integer distributions with long tails; per-SOLVE-call
 // wall time spans microseconds (trivial windows late in the binary
@@ -17,11 +12,11 @@ var (
 )
 
 // SolverMetrics bundles the standard metric set of the solve pipeline,
-// one series per concern, all registered under the satalloc_ prefix. A
-// nil *SolverMetrics is a valid disabled instrument: every Record method
-// is a no-op and every hook constructor returns nil, so the layers below
-// (sat, opt, core) pay one nil check when metrics are off — the same
-// contract as obs.Tracer.
+// one series per concern, all registered under the satalloc_ prefix. Its
+// one writer is obs.Observer, which maps each pipeline observation onto
+// these series. A nil *SolverMetrics is a valid disabled instrument: the
+// observer skips it, so the layers below pay one nil check when metrics
+// are off — the same contract as obs.Tracer.
 //
 //satlint:nilsafe
 type SolverMetrics struct {
@@ -141,200 +136,10 @@ func NewSolverMetrics(r *Registry) *SolverMetrics {
 }
 
 // Registry returns the registry the metrics are registered on (nil on a
-// disabled instrument).
+// disabled instrument), for the labeled series created on first use.
 func (m *SolverMetrics) Registry() *Registry {
 	if m == nil {
 		return nil
 	}
 	return m.reg
-}
-
-// SearchHook returns a stateful hook mirroring one solver's cumulative
-// search counters into the registry as deltas. One hook must be created
-// per solver instance: a fresh solver restarts its cumulative counters at
-// zero, and per-hook state is what keeps the mirrored totals monotone
-// across solver rebuilds (opt's fresh mode). Returns nil when m is nil.
-func (m *SolverMetrics) SearchHook() func(conflicts, decisions, propagations, restarts, learntAdded, learntPruned int64, learnts, trail int) {
-	if m == nil {
-		return nil
-	}
-	var last struct{ conf, dec, prop, rest, ladd, lpru int64 }
-	return func(conflicts, decisions, propagations, restarts, learntAdded, learntPruned int64, learnts, trail int) {
-		m.Conflicts.Add(conflicts - last.conf)
-		m.Decisions.Add(decisions - last.dec)
-		m.Propagations.Add(propagations - last.prop)
-		m.Restarts.Add(restarts - last.rest)
-		m.LearntAdded.Add(learntAdded - last.ladd)
-		m.LearntPruned.Add(learntPruned - last.lpru)
-		last.conf, last.dec, last.prop = conflicts, decisions, propagations
-		last.rest, last.ladd, last.lpru = restarts, learntAdded, learntPruned
-		m.LearntDB.Set(int64(learnts))
-		m.TrailDepth.Set(int64(trail))
-	}
-}
-
-// EncodeHook returns a stateful hook mirroring one bit-blaster's
-// cumulative gate counters into the registry as deltas. Like SearchHook,
-// one hook must be created per blaster instance: a fresh blast restarts
-// its counters at zero, and per-hook state keeps the mirrored totals
-// monotone across encoder rebuilds (opt's fresh mode). The counters keep
-// growing after the initial blast as the optimizer builds cost-probe
-// circuits, so callers re-fire the hook at solve boundaries. Returns nil
-// when m is nil.
-func (m *SolverMetrics) EncodeHook() func(requested, emitted, folded, reused int64, vars int, literals int64) {
-	if m == nil {
-		return nil
-	}
-	var last struct{ req, emit, fold, reuse int64 }
-	return func(requested, emitted, folded, reused int64, vars int, literals int64) {
-		m.EncodeGatesRequested.Add(requested - last.req)
-		m.EncodeGatesEmitted.Add(emitted - last.emit)
-		m.EncodeGatesFolded.Add(folded - last.fold)
-		m.EncodeGatesReused.Add(reused - last.reuse)
-		last.req, last.emit, last.fold, last.reuse = requested, emitted, folded, reused
-		m.EncodeVars.Set(int64(vars))
-		m.EncodeLiterals.Set(literals)
-	}
-}
-
-// ConflictHook returns the per-conflict observation hook for
-// sat.Solver.OnConflict: LBD and backjump-depth histograms. Stateless, so
-// one hook may be shared across solvers. Returns nil when m is nil.
-func (m *SolverMetrics) ConflictHook() func(lbd, backjump, learntLen int) {
-	if m == nil {
-		return nil
-	}
-	return func(lbd, backjump, learntLen int) {
-		m.LBD.Observe(int64(lbd))
-		m.Backjump.Observe(int64(backjump))
-	}
-}
-
-// RecordIter records one SOLVE call of the binary search.
-func (m *SolverMetrics) RecordIter(d time.Duration, interrupted bool) {
-	if m == nil {
-		return
-	}
-	m.SolveCalls.Inc()
-	m.SolveCallMS.Observe(d.Milliseconds())
-	if interrupted {
-		m.BudgetHits.Inc()
-	}
-}
-
-// RecordBounds publishes the binary search's current proven window [L,R].
-func (m *SolverMetrics) RecordBounds(l, r int64) {
-	if m == nil {
-		return
-	}
-	m.BoundLower.Set(l)
-	m.BoundUpper.Set(r)
-	m.BoundGap.Set(r - l)
-}
-
-// RecordIncumbent publishes the cost of the best model found so far.
-func (m *SolverMetrics) RecordIncumbent(cost int64) {
-	if m == nil {
-		return
-	}
-	m.IncumbentCost.Set(cost)
-}
-
-// RecordSolveStart counts a core.Solve pipeline run.
-func (m *SolverMetrics) RecordSolveStart() {
-	if m == nil {
-		return
-	}
-	m.SolvesStarted.Inc()
-}
-
-// RecordSolveEnd counts a completed pipeline run, labelled by its status
-// string ("optimal", "feasible", "infeasible", "aborted", "error").
-func (m *SolverMetrics) RecordSolveEnd(status string) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("satalloc_core_solves_completed_total",
-		"core.Solve pipeline runs completed, by outcome", Labels{"status": status}).Inc()
-}
-
-// RecordPanic counts a panic contained at the core.Solve boundary.
-func (m *SolverMetrics) RecordPanic() {
-	if m == nil {
-		return
-	}
-	m.Panics.Inc()
-}
-
-// RecordParallelWorkers publishes the configured CDCL-portfolio size.
-func (m *SolverMetrics) RecordParallelWorkers(n int) {
-	if m == nil {
-		return
-	}
-	m.ParallelWorkers.Set(int64(n))
-}
-
-// RecordShared adds one race's clause-exchange deltas: clauses published,
-// integrated by an importer, and dropped along the way.
-func (m *SolverMetrics) RecordShared(exported, imported, filtered int64) {
-	if m == nil {
-		return
-	}
-	m.SharedExported.Add(exported)
-	m.SharedImported.Add(imported)
-	m.SharedFiltered.Add(filtered)
-}
-
-// RecordWorkerConflicts adds one portfolio worker's conflict delta for a
-// race, labelled by worker index.
-func (m *SolverMetrics) RecordWorkerConflicts(worker int, conflicts int64) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("satalloc_parallel_worker_conflicts_total",
-		"CDCL conflicts per portfolio worker", Labels{"worker": strconv.Itoa(worker)}).Add(conflicts)
-}
-
-// RecordWorkerWin counts a race won by the given portfolio worker.
-func (m *SolverMetrics) RecordWorkerWin(worker int) {
-	if m == nil {
-		return
-	}
-	m.reg.Counter("satalloc_parallel_worker_wins_total",
-		"races decided per portfolio worker", Labels{"worker": strconv.Itoa(worker)}).Inc()
-}
-
-// RecordProofCheck records one completed proof-certification pass: the
-// steps replayed, the assumption probes certified, and the wall time.
-func (m *SolverMetrics) RecordProofCheck(steps, probes int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.ProofChecks.Inc()
-	m.ProofSteps.Add(int64(steps))
-	m.ProofProbes.Add(int64(probes))
-	m.ProofCheckMS.Set(d.Milliseconds())
-}
-
-// RecordCoreExplain records one completed unsat-core explanation.
-func (m *SolverMetrics) RecordCoreExplain(size, solves int, d time.Duration, minimal bool) {
-	if m == nil {
-		return
-	}
-	m.ExplainSolves.Add(int64(solves))
-	m.ExplainSize.Set(int64(size))
-	if minimal {
-		m.ExplainMinimal.Set(1)
-	} else {
-		m.ExplainMinimal.Set(0)
-	}
-	m.ExplainMS.Set(d.Milliseconds())
-}
-
-// RecordWorkerDeath counts a portfolio worker lost to a contained panic.
-func (m *SolverMetrics) RecordWorkerDeath() {
-	if m == nil {
-		return
-	}
-	m.WorkerDeaths.Inc()
 }

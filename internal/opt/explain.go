@@ -10,7 +10,6 @@ import (
 	"satalloc/internal/bv"
 	"satalloc/internal/encode"
 	"satalloc/internal/model"
-	"satalloc/internal/obs"
 	"satalloc/internal/proof"
 	"satalloc/internal/sat"
 )
@@ -130,9 +129,7 @@ func ExplainInfeasible(msys *model.System, encOpts encode.Options, opts Options)
 	}
 	s.MaxConflicts = opts.MaxConflictsPerCall
 	s.Stop = func() bool { return ctx.Err() != nil }
-	s.OnProgress = obs.TeeProgress(opts.Progress,
-		obs.MetricsProgress(opts.Metrics), obs.FlightProgress(opts.Recorder))
-	s.OnConflict = opts.Metrics.ConflictHook()
+	opts.Observer.Attach(s)
 
 	groups := enc.Groups()
 	sels := make([]sat.Lit, len(groups))
@@ -154,8 +151,7 @@ func ExplainInfeasible(msys *model.System, encOpts encode.Options, opts Options)
 			asm[i] = sels[gi]
 		}
 		st := sys.Solve(asm...)
-		opts.Recorder.Record("core.explain", "probe %d: %d families → %s",
-			report.SolveCalls, len(idxs), st)
+		opts.Observer.ExplainProbe(report.SolveCalls, len(idxs), st)
 		if st != sat.Unsat {
 			return st, nil
 		}
@@ -183,7 +179,7 @@ func ExplainInfeasible(msys *model.System, encOpts encode.Options, opts Options)
 	case sat.Unknown:
 		return nil, fmt.Errorf("opt: core extraction interrupted before the first verdict (budget/deadline/cancel)")
 	}
-	opts.logf("initial core: %d of %d families", len(work), len(groups))
+	opts.Observer.Logf("initial core: %d of %d families", len(work), len(groups))
 
 	// Deletion order doubles as a preference order over explanations: when
 	// the instance admits several minimal cores, a family whose deletion
@@ -263,10 +259,7 @@ loop:
 	}
 	sp.Attr("core", len(report.Groups)).Attr("minimal", minimal).
 		Attr("solve_calls", report.SolveCalls)
-	opts.Metrics.RecordCoreExplain(len(report.Groups), report.SolveCalls,
+	opts.Observer.Explained(report.String(), len(report.Groups), report.SolveCalls,
 		report.Duration, minimal)
-	opts.Recorder.Record("core.explain", "%s (minimal=%v, %d probes, %s)",
-		report, minimal, report.SolveCalls, report.Duration)
-	opts.logf("%s", report)
 	return report, nil
 }

@@ -12,9 +12,7 @@ import (
 
 	"satalloc/internal/bv"
 	"satalloc/internal/encode"
-	"satalloc/internal/flightrec"
 	"satalloc/internal/ir"
-	"satalloc/internal/metrics"
 	"satalloc/internal/model"
 	"satalloc/internal/obs"
 	"satalloc/internal/proof"
@@ -86,37 +84,15 @@ type Options struct {
 	// clauses; in fresh mode the portfolio is rebuilt per call like the
 	// solver itself.
 	Workers int
-	// Verify re-checks the decoded allocation with the independent
-	// response-time analyzer and fails loudly on disagreement. Enabled by
-	// default in Minimize; disable only in benchmarks of raw solve time.
-	SkipVerify bool
-	// Logf, when set, receives progress lines.
-	Logf func(format string, args ...any)
 	// Trace, when set, is the parent span under which the optimizer
 	// records its BitBlast/Solve[i]/Decode/Verify phases. Nil disables
 	// tracing.
 	Trace *obs.Span
-	// Progress, when set, is installed as the SAT solver's OnProgress
-	// hook, reporting search counters at restart and clause-DB-reduction
-	// boundaries. Nil disables it. When Metrics or Recorder are also set,
-	// the hooks are teed; the solver still sees a single callback.
-	Progress func(sat.Progress)
-	// Metrics, when set, receives live search counters (mirrored at
-	// progress boundaries), per-conflict LBD/backjump observations, and
-	// the binary search's bounds/incumbent/iteration series. Nil disables
-	// it at the cost of one nil check per boundary.
-	Metrics *metrics.SolverMetrics
-	// Recorder, when set, is the flight recorder receiving restart,
-	// reduction, iteration, bounds, incumbent, and budget events. Nil
-	// disables it.
-	Recorder *flightrec.Recorder
-	// OnImprove, when set, is invoked from the search goroutine whenever
-	// the binary search's view of the answer improves: after the initial
-	// model and after every window move, with the proven bounds [lower,
-	// upper]. The incumbent's cost is always upper (R is by construction
-	// the cost of a model already in hand). The allocation service streams
-	// these to job watchers; keep the callback fast and non-blocking.
-	OnImprove func(lower, upper int64)
+	// Observer, when set, is attached to every solver the run compiles and
+	// receives the encode counters, every SOLVE call, the window and
+	// incumbent moves, the portfolio races, the proof check and the log
+	// lines. Nil observes nothing.
+	Observer *obs.Observer
 	// Ctx, when set, makes the whole binary search cancellable: its
 	// cancellation or deadline is polled by the SAT solver at restart and
 	// conflict-batch boundaries, and the search degrades to a Feasible
@@ -206,12 +182,6 @@ type Result struct {
 	Core *CoreReport
 }
 
-func (o *Options) logf(format string, args ...any) {
-	if o.Logf != nil {
-		o.Logf(format, args...)
-	}
-}
-
 // Minimize runs BIN_SEARCH over the encoding's cost variable:
 //
 //	L := 0; R := SOLVE(φ)
@@ -259,6 +229,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 		ctx = context.Background()
 	}
 	stop := func() bool { return ctx.Err() != nil }
+	ob := opts.Observer
 	if opts.Proof && opts.Workers >= 2 {
 		return nil, fmt.Errorf("opt: proof logging requires a sequential solver (Workers=%d): clauses shared between portfolio workers are not RUP in the importer's log", opts.Workers)
 	}
@@ -281,7 +252,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 	// One proof log per compiled solver: incremental mode certifies the
 	// whole run with a single log, fresh mode with one log per SOLVE call.
 	var proofLogs []*proof.Log
-	// One encode-metrics hook per compiled blaster (its delta state must
+	// One encode-counter sink per compiled blaster (its delta state must
 	// restart with the blaster's counters), re-fired after every solve to
 	// pick up the cost-probe circuits built since.
 	var encHook func(requested, emitted, folded, reused int64, vars int, literals int64)
@@ -311,17 +282,13 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 			return err
 		}
 		sys.S.MaxConflicts = opts.MaxConflictsPerCall
-		// A fresh MetricsProgress hook per compile: its delta state must
-		// restart with the solver's counters (fresh mode rebuilds both).
-		sys.S.OnProgress = obs.TeeProgress(opts.Progress,
-			obs.MetricsProgress(opts.Metrics), obs.FlightProgress(opts.Recorder))
-		sys.S.OnConflict = opts.Metrics.ConflictHook()
+		ob.Attach(sys.S)
 		sys.S.Stop = stop
 		if res.Vars == 0 {
 			res.Vars = sys.S.NumVariables()
 			res.Literals = sys.S.Stats.NumLiterals
 		}
-		encHook = opts.Metrics.EncodeHook()
+		encHook = ob.Encoder()
 		reportEncode()
 		if opts.Observe != nil {
 			opts.Observe(sys)
@@ -332,22 +299,14 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 				Stop:    stop,
 				OnWorkerStart: func(w int) {
 					workerSpans[w] = curSolveSpan.Child(fmt.Sprintf("Worker[%d]", w))
-					opts.Recorder.Record("sat.worker", "start worker=%d", w)
+					ob.WorkerStart(w)
 				},
 				OnWorkerDone: func(w int, st sat.Status, delta sat.Stats, won bool, recovered any) {
-					opts.Metrics.RecordWorkerConflicts(w, delta.Conflicts)
+					ob.WorkerDone(w, st, delta, won, recovered)
 					sp := workerSpans[w].Attr("status", st.String()).
 						Attr("conflicts", delta.Conflicts).Attr("winner", won)
-					switch {
-					case recovered != nil:
-						opts.Metrics.RecordWorkerDeath()
-						opts.Recorder.Record("sat.worker", "panic worker=%d: %v", w, recovered)
+					if recovered != nil {
 						sp.Outcome(obs.OutcomeError).Attr("panic", fmt.Sprint(recovered))
-					case won:
-						opts.Metrics.RecordWorkerWin(w)
-						opts.Recorder.Record("sat.worker", "win worker=%d status=%s conflicts=%d", w, st, delta.Conflicts)
-					default:
-						opts.Recorder.Record("sat.worker", "cancel worker=%d status=%s conflicts=%d", w, st, delta.Conflicts)
 					}
 					sp.End()
 				},
@@ -356,7 +315,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 				return err
 			}
 			lastShared = sat.ParallelStats{}
-			opts.Metrics.RecordParallelWorkers(opts.Workers)
+			ob.Portfolio(opts.Workers)
 		}
 		return nil
 	}
@@ -421,9 +380,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 				return solveOut{}, err
 			}
 			snap := par.Snapshot()
-			opts.Metrics.RecordShared(snap.Exported-lastShared.Exported,
-				snap.Imported-lastShared.Imported, snap.Filtered-lastShared.Filtered)
-			lastShared = snap
+			ob.Shared(&lastShared, snap)
 			sp.Attr("winner", snap.LastWinner)
 		} else {
 			st = sys.Solve(assumptions...)
@@ -456,19 +413,14 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 		res.Decisions += it.Decisions
 		sp.Attr("status", st.String()).Attr("cost", it.Cost).
 			Attr("conflicts", it.Conflicts).Attr("decisions", it.Decisions).End()
-		opts.Metrics.RecordIter(it.Duration, st == sat.Unknown)
-		opts.Recorder.Record("opt.iter", "call=%d lo=%d hi=%d status=%s cost=%d conflicts=%d",
-			it.Call, lo, hi, st, it.Cost, it.Conflicts)
-		if st == sat.Unknown {
-			opts.Recorder.Record("opt.budget", "call=%d interrupted (budget/deadline/cancel)", it.Call)
-		}
+		ob.Iter(it.Call, lo, hi, st, it.Cost, it.Conflicts, it.Duration)
 		return out, nil
 	}
 
 	finish := func() (*Result, error) {
 		res.Duration = time.Since(start)
 		res.SolverStats = cumStats()
-		if (res.Status == Optimal || res.Status == Feasible) && !opts.SkipVerify {
+		if res.Status == Optimal || res.Status == Feasible {
 			sp := opts.Trace.Child("Verify")
 			err := verify(enc, res)
 			sp.End()
@@ -488,10 +440,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 			sp.Attr("logs", len(cert.Logs)).Attr("steps", cert.Steps).
 				Attr("probes", cert.Probes).End()
 			res.Certificate = cert
-			opts.Metrics.RecordProofCheck(cert.Steps, cert.Probes, cert.CheckDuration)
-			opts.Recorder.Record("proof.check",
-				"certified logs=%d steps=%d probes=%d root_conflicts=%d in %s",
-				len(cert.Logs), cert.Steps, cert.Probes, cert.RootConflicts, cert.CheckDuration)
+			ob.ProofCheck(cert)
 		}
 		return res, nil
 	}
@@ -515,17 +464,9 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 	best := first
 	L := enc.Cost.Lo
 	R := best.cost
-	opts.logf("initial solution cost=%d (search window [%d,%d])", R, L, R)
-	publishWindow := func() {
-		opts.Metrics.RecordBounds(L, R)
-		opts.Recorder.Record("opt.bounds", "L=%d R=%d gap=%d", L, R, R-L)
-		if opts.OnImprove != nil {
-			opts.OnImprove(L, R)
-		}
-	}
-	opts.Metrics.RecordIncumbent(R)
-	opts.Recorder.Record("opt.incumbent", "cost=%d (initial model)", R)
-	publishWindow()
+	ob.Logf("initial solution cost=%d (search window [%d,%d])", R, L, R)
+	ob.Incumbent(R, true)
+	ob.Bounds(L, R)
 
 	// degrade packages the incumbent and the proven window [L,R] as a
 	// Feasible result — the anytime payoff of an interrupted search.
@@ -541,7 +482,7 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 			return nil, derr
 		}
 		res.Allocation = alloc
-		opts.logf("search interrupted: incumbent cost=%d, proven lower bound=%d (gap %d)",
+		ob.Logf("search interrupted: incumbent cost=%d, proven lower bound=%d (gap %d)",
 			res.Cost, L, res.Cost-L)
 		return finish()
 	}
@@ -554,9 +495,9 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 		}
 		switch k.status {
 		case sat.Unsat:
-			opts.logf("window [%d,%d] empty → L=%d", L, M, M+1)
+			ob.Logf("window [%d,%d] empty → L=%d", L, M, M+1)
 			L = M + 1
-			publishWindow()
+			ob.Bounds(L, R)
 			if opts.Incremental {
 				// The bound is entailed (nothing below L can be feasible),
 				// so asserting it permanently is safe and lets the learner
@@ -568,10 +509,9 @@ func minimize(enc *encode.Encoding, opts Options) (*Result, error) {
 		case sat.Sat:
 			best = k
 			R = k.cost
-			opts.logf("found cost=%d → R=%d", k.cost, R)
-			opts.Metrics.RecordIncumbent(R)
-			opts.Recorder.Record("opt.incumbent", "cost=%d", R)
-			publishWindow()
+			ob.Logf("found cost=%d → R=%d", k.cost, R)
+			ob.Incumbent(R, false)
+			ob.Bounds(L, R)
 		case sat.Unknown:
 			return degrade(L)
 		}

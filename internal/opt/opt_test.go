@@ -212,14 +212,14 @@ func budgetedFeasible(t *testing.T, incremental bool) {
 	res, err := Minimize(enc, Options{
 		Incremental: incremental,
 		Ctx:         ctx,
-		Progress: func(p sat.Progress) {
+		Observer: &obs.Observer{Progress: func(p sat.Progress) {
 			if p.Event == "solve" {
 				solves++
 				if solves == 2 {
 					cancel()
 				}
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func budgetedFeasible(t *testing.T, incremental bool) {
 	if res.LowerBound < enc.Cost.Lo {
 		t.Fatalf("lower bound %d below the structural bound %d", res.LowerBound, enc.Cost.Lo)
 	}
-	// Minimize verified internally (SkipVerify unset); re-check with the
+	// Minimize verified internally; re-check with the
 	// independent analyzer for belt and braces.
 	if r := rta.Analyze(sys, res.Allocation); !r.Schedulable {
 		t.Fatalf("incumbent rejected by analyzer: %v", r.Violations)
@@ -284,7 +284,7 @@ func TestMinimizeLogsProgress(t *testing.T) {
 		t.Fatal(err)
 	}
 	var lines int
-	_, err = Minimize(enc, Options{Incremental: true, Logf: func(string, ...any) { lines++ }})
+	_, err = Minimize(enc, Options{Incremental: true, Observer: &obs.Observer{Log: func(string, ...any) { lines++ }}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,9 +405,9 @@ func TestMinimizeProgressHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	var events []string
-	res, err := Minimize(enc, Options{Incremental: true, Progress: func(p sat.Progress) {
+	res, err := Minimize(enc, Options{Incremental: true, Observer: &obs.Observer{Progress: func(p sat.Progress) {
 		events = append(events, p.Event)
-	}})
+	}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -573,7 +573,7 @@ func TestMinimizeMetricsAndRecorder(t *testing.T) {
 		}
 		m := metrics.NewSolverMetrics(metrics.New())
 		rec := flightrec.New(0)
-		res, err := Minimize(enc, Options{Incremental: inc, Metrics: m, Recorder: rec})
+		res, err := Minimize(enc, Options{Incremental: inc, Observer: &obs.Observer{Metrics: m, Recorder: rec}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -622,17 +622,15 @@ func TestMinimizeBudgetHitRecordsEvents(t *testing.T) {
 	calls := 0
 	res, err := Minimize(enc, Options{
 		Incremental: true,
-		Metrics:     m,
-		Recorder:    rec,
 		Ctx:         ctx,
-		Logf: func(string, ...any) {
+		Observer: &obs.Observer{Metrics: m, Recorder: rec, Log: func(string, ...any) {
 			// Cancel after the initial model so the search degrades to
 			// Feasible rather than Aborted.
 			calls++
 			if calls == 1 {
 				cancel()
 			}
-		},
+		}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,7 @@ import (
 	"satalloc/internal/flightrec"
 	"satalloc/internal/metrics"
 	"satalloc/internal/model"
+	"satalloc/internal/obs"
 	"satalloc/internal/workload"
 )
 
@@ -93,7 +94,7 @@ func TestParallelMetricsAndEvents(t *testing.T) {
 	}
 	m := metrics.NewSolverMetrics(metrics.New())
 	rec := flightrec.New(0)
-	res, err := Minimize(enc, Options{Incremental: true, Workers: 3, Metrics: m, Recorder: rec})
+	res, err := Minimize(enc, Options{Incremental: true, Workers: 3, Observer: &obs.Observer{Metrics: m, Recorder: rec}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ import (
 
 	"satalloc/internal/core"
 	"satalloc/internal/faultinject"
-	"satalloc/internal/flightrec"
 	"satalloc/internal/metrics"
 	"satalloc/internal/obs"
 )
@@ -61,10 +60,10 @@ type Options struct {
 	// Metrics is the service instrument; nil gets a private throwaway
 	// registry so internal accounting always works.
 	Metrics *Metrics
-	// Solver and Recorder are threaded into every solve (shared across
-	// jobs — the ops /progress view shows the currently loudest solve).
-	Solver   *metrics.SolverMetrics
-	Recorder *flightrec.Recorder
+	// Observer is threaded into every solve (shared across jobs — the ops
+	// /progress view shows the currently loudest solve); each attempt
+	// runs on a copy whose OnImprove feeds the job's watchers.
+	Observer *obs.Observer
 	// Logf receives operational log lines (nil discards them).
 	Logf func(format string, args ...any)
 }
@@ -637,14 +636,14 @@ func (s *Server) attempt(ctx context.Context, j *Job, attempt int) (res *Result,
 		return nil, err
 	}
 	start := time.Now()
+	ob := s.o.Observer.Copy()
+	ob.OnImprove = j.improve
 	sol, err := core.SolveContext(ctx, sys, core.Config{
 		Objective:           core.MinimizeTRT,
 		MaxConflictsPerCall: s.o.ConflictBudget,
 		Workers:             s.o.SolveWorkers,
-		Metrics:             s.o.Solver,
-		FlightRecorder:      s.o.Recorder,
 		DiagnosticsDir:      s.o.DataDir,
-		OnImprove:           j.improve,
+		Observer:            &ob,
 		Trace:               root,
 	})
 	if err != nil {
